@@ -11,6 +11,7 @@
 #include "sift/correlate.h"
 #include "sift/detector.h"
 #include "sift/matcher.h"
+#include "sift_experiment.h"
 
 namespace whitefi {
 namespace {
@@ -67,7 +68,7 @@ void BM_SiftStreamingBlocks(benchmark::State& state) {
 BENCHMARK(BM_SiftStreamingBlocks);
 
 /// The block path across chunk granularities — from USRP-recv-buffer-sized
-/// chunks down to the degenerate per-sample stream (the old Step loop).
+/// chunks down to the degenerate per-sample stream (one-sample blocks).
 /// Detection results are byte-identical at every chunking; only the
 /// per-block warmup/tail overhead varies.
 void BM_SiftDetectorChunked(benchmark::State& state) {
@@ -182,9 +183,30 @@ void BM_SignalSynthesisInto(benchmark::State& state) {
     SignalSynthesizer synth(SignalParams{}, rng.Fork());
     synth.SynthesizeInto(bursts, 110000.0, scratch);
     benchmark::DoNotOptimize(scratch.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_SignalSynthesisInto);
+
+/// The per-sample reference synthesizer (one Rng::Rayleigh call per
+/// sample) on BM_SignalSynthesisInto's schedule and streams: the
+/// denominator of the CI speedup gate on the block Rayleigh path
+/// (compare_bench.py --speedup
+/// BM_SignalSynthesisReference:BM_SignalSynthesisInto:MINRATIO).
+void BM_SignalSynthesisReference(benchmark::State& state) {
+  const PhyTiming t = PhyTiming::ForWidth(ChannelWidth::kW20);
+  const auto bursts = MakeCbrSchedule(t, 20, 5000.0, 1000, 300.0);
+  Rng rng(2);
+  std::vector<double> scratch;
+  for (auto _ : state) {
+    Rng lane = rng.Fork();
+    bench::ReferenceSynthesizeInto(SignalParams{}, lane, bursts, 110000.0,
+                                   scratch);
+    benchmark::DoNotOptimize(scratch.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_SignalSynthesisReference);
 
 void BM_ChirpCodecDecode(benchmark::State& state) {
   const ChirpCodec codec;

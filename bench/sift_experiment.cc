@@ -1,5 +1,6 @@
 #include "sift_experiment.h"
 
+#include <algorithm>
 #include <cmath>
 #include <span>
 #include <utility>
@@ -7,6 +8,49 @@
 #include "sift/batch.h"
 
 namespace whitefi::bench {
+
+void ReferenceSynthesizeInto(const SignalParams& params, Rng& rng,
+                             std::span<const Burst> bursts,
+                             Us total_duration, std::vector<double>& samples) {
+  const auto num_samples = static_cast<std::size_t>(
+      std::ceil(total_duration / params.sample_period));
+  samples.resize(num_samples);
+  for (double& sample : samples) sample = rng.Rayleigh(params.noise_sigma);
+
+  const double sigma = params.signal_sigma *
+                       AttenuationToAmplitudeScale(params.attenuation_db);
+  for (const Burst& burst : bursts) {
+    // Draw the ramp realization once per burst.
+    Us ramp_duration = 0.0;
+    double ramp_factor = 1.0;
+    if (burst.ramp_artifact) {
+      ramp_duration =
+          rng.Uniform(params.ramp_min_duration, params.ramp_max_duration);
+      ramp_factor = rng.Bernoulli(params.deep_ramp_probability)
+                        ? params.deep_ramp_factor
+                        : params.shallow_ramp_factor;
+    }
+    const auto first = static_cast<std::size_t>(
+        std::max(0.0, std::ceil(burst.start / params.sample_period)));
+    const auto last = static_cast<std::size_t>(std::min<double>(
+        static_cast<double>(num_samples),
+        std::ceil((burst.start + burst.duration) / params.sample_period)));
+    const double burst_sigma = sigma * burst.amplitude_scale;
+    std::size_t i = first;
+    if (burst.ramp_artifact) {
+      const double ramp_sigma = burst_sigma * ramp_factor;
+      for (; i < last; ++i) {
+        const Us t =
+            static_cast<double>(i) * params.sample_period - burst.start;
+        if (!(t < ramp_duration)) break;
+        samples[i] = std::max(samples[i], rng.Rayleigh(ramp_sigma));
+      }
+    }
+    for (; i < last; ++i) {
+      samples[i] = std::max(samples[i], rng.Rayleigh(burst_sigma));
+    }
+  }
+}
 
 SignalRun MakeIperfRun(ChannelWidth width, int count, Us interval_us,
                        int payload_bytes, const SignalParams& params,

@@ -3,12 +3,24 @@
 // per-packet detection matching.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "phy/signal.h"
 #include "sift/detector.h"
 
 namespace whitefi::bench {
+
+/// The per-sample reference synthesizer: sizes `samples` to
+/// `ceil(total_duration / params.sample_period)`, draws the noise floor
+/// and every in-burst amplitude one `Rng::Rayleigh` call at a time, in
+/// sample order, and merges bursts by the max envelope.
+/// `SignalSynthesizer::SynthesizeInto` must be byte-equal to it for the
+/// same params, bursts and Rng (tests/phy_test.cc), and the micro bench
+/// times the block path against it.
+void ReferenceSynthesizeInto(const SignalParams& params, Rng& rng,
+                             std::span<const Burst> bursts,
+                             Us total_duration, std::vector<double>& samples);
 
 /// One transmitted data packet's ground truth.
 struct SentPacket {

@@ -1,9 +1,31 @@
 #include "phy/signal.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 namespace whitefi {
+namespace {
+
+// Draws one Rayleigh(sigma) amplitude per sample, in sample order, and
+// keeps the larger of it and the sample: the in-burst envelope merged
+// over the noise floor.  The draws go through a stack block so they take
+// Rng::FillRayleigh's block path; the values equal per-sample
+// Rng::Rayleigh calls.
+void MergeRayleigh(Rng& rng, double sigma, std::span<double> samples) {
+  constexpr std::size_t kBlock = 512;
+  std::array<double, kBlock> block;
+  while (!samples.empty()) {
+    const std::size_t n = std::min(samples.size(), kBlock);
+    rng.FillRayleigh(sigma, {block.data(), n});
+    for (std::size_t i = 0; i < n; ++i) {
+      samples[i] = std::max(samples[i], block[i]);
+    }
+    samples = samples.subspan(n);
+  }
+}
+
+}  // namespace
 
 SignalSynthesizer::SignalSynthesizer(const SignalParams& params, Rng rng)
     : params_(params), rng_(std::move(rng)) {}
@@ -71,26 +93,24 @@ void SignalSynthesizer::SynthesizeLane(Rng& rng, std::span<const Burst> bursts,
     const auto last = static_cast<std::size_t>(std::min<double>(
         static_cast<double>(num_samples),
         std::ceil((burst.start + burst.duration) / params_.sample_period)));
-    // The in-burst Rayleigh scale is loop-invariant on each side of the
-    // ramp boundary, so hoist it and split the loop there: the ramp prefix
-    // keeps the per-sample time comparison (bit-equal to evaluating it
-    // every sample), the body skips it entirely.
-    const double burst_sigma = sigma * burst.amplitude_scale;
-    std::size_t i = first;
+    if (first >= last) continue;
+    // The ramp prefix ends at the first sample whose time is not inside
+    // the ramp: the same per-sample test as drawing sample by sample, but
+    // evaluated before any in-burst draw, so the ramp and body draws keep
+    // their stream positions.
+    std::size_t split = first;
     if (burst.ramp_artifact) {
-      const double ramp_sigma = burst_sigma * ramp_factor;
-      for (; i < last; ++i) {
-        const Us t =
-            static_cast<double>(i) * params_.sample_period - burst.start;
-        if (!(t < ramp_duration)) break;
-        const double amp = rng.Rayleigh(ramp_sigma);
-        samples[i] = std::max(samples[i], amp);
+      while (split < last &&
+             static_cast<double>(split) * params_.sample_period -
+                     burst.start <
+                 ramp_duration) {
+        ++split;
       }
     }
-    for (; i < last; ++i) {
-      const double amp = rng.Rayleigh(burst_sigma);
-      samples[i] = std::max(samples[i], amp);
-    }
+    const double burst_sigma = sigma * burst.amplitude_scale;
+    MergeRayleigh(rng, burst_sigma * ramp_factor,
+                  samples.subspan(first, split - first));
+    MergeRayleigh(rng, burst_sigma, samples.subspan(split, last - split));
   }
 }
 

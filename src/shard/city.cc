@@ -82,7 +82,8 @@ CityLayout GenerateCity(const CityParams& params, const MediumParams& medium) {
     tile_m = std::min(params.width_m, params.height_m);
   }
 
-  CityLayout layout{Partition(params.width_m, params.height_m, tile_m)};
+  CityLayout layout{Partition(params.width_m, params.height_m, tile_m), {},
+                    {}, {}, {}};
 
   // -- AP placement --------------------------------------------------------
   Rng place_rng(DeriveSeed(params.seed, "city.placement"));

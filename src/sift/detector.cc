@@ -37,8 +37,6 @@ void SiftDetector::SetObservability(const Observability& obs) {
   burst_us_ = &obs.metrics->GetHistogram("whitefi.sift.burst_us");
 }
 
-void SiftDetector::Step(double sample) { ProcessBlock({&sample, 1}); }
-
 void SiftDetector::ProcessBlock(std::span<const double> samples) {
   ScopedPhaseTimer timer(profiler_, "sift.detect");
   if (samples.empty()) return;

@@ -33,7 +33,7 @@
 // then the process-wide override (SetSiftKernelOverride, the benches'
 // --detector flag), then the WHITEFI_SIFT_KERNEL environment variable,
 // then the CPU probe.  Every path produces byte-identical bursts under
-// any chunking of the stream — per-sample Step(), USRP 2048-sample
+// any chunking of the stream — one-sample blocks, USRP 2048-sample
 // blocks, or one shot (see sift_block_test and sift_simd_property_test).
 #pragma once
 
@@ -113,12 +113,9 @@ class SiftDetector {
  public:
   explicit SiftDetector(const SiftParams& params);
 
-  /// Processes one block of amplitude samples.
+  /// Processes one block of amplitude samples.  Any chunking of a stream,
+  /// down to one sample per block, yields byte-identical bursts.
   void ProcessBlock(std::span<const double> samples);
-
-  /// Single-sample compatibility shim: routes through the block kernel so
-  /// sample-at-a-time feeding stays byte-identical to any block chunking.
-  void Step(double sample);
 
   /// Flushes any in-progress burst (treats the stream as ended).
   void Flush();

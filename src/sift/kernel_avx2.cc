@@ -289,7 +289,7 @@ __attribute__((target("avx2"))) void RunBlockAvx2Impl(
 void RunBlockAvx2(const Config& cfg, SiftCoreState& core, double* tail,
                   std::vector<double>& merged, std::vector<DetectedBurst>& out,
                   const double* x, std::size_t n) {
-  // Tiny blocks (the per-sample Step() shim, warmup-dominated fragments)
+  // Tiny blocks (one-sample streaming, warmup-dominated fragments)
   // gain nothing from the vector loops but still pay the constant setup;
   // scalar is the byte-identical reference, so delegate before even
   // entering the target-attributed function.

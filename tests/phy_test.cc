@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "phy/attenuation.h"
 #include "phy/signal.h"
 #include "phy/timing.h"
+#include "sift_experiment.h"
 #include "util/stats.h"
 
 namespace whitefi {
@@ -221,6 +226,118 @@ TEST(Signal, SynthesizeIntoReusesAndResizesTheBuffer) {
   EXPECT_LT(scratch.size(), big);
   EXPECT_EQ(scratch.capacity(), capacity);
   EXPECT_EQ(scratch.data(), data);
+}
+
+// ------------------------------------------------- synthesis oracle ---
+//
+// SignalSynthesizer draws in blocks (FillRayleigh for the noise floor, a
+// stack block per burst stretch); bench::ReferenceSynthesizeInto draws
+// every sample through Rng::Rayleigh.  The two must be byte-equal.
+
+void ExpectBitEqual(std::span<const double> expected,
+                    std::span<const double> actual) {
+  ASSERT_EQ(expected.size(), actual.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(expected[i]),
+              std::bit_cast<std::uint64_t>(actual[i]))
+        << "sample " << i << ": " << expected[i] << " vs " << actual[i];
+  }
+}
+
+/// SynthesizeInto vs the reference, twice in a row from one synthesizer
+/// (so the second trace also pins where the first left the stream), and
+/// SynthesizeBatchInto vs the reference on per-lane forks.
+void ExpectMatchesReference(const SignalParams& params,
+                            std::span<const Burst> bursts, Us duration,
+                            std::uint64_t seed) {
+  Rng reference_rng(seed);
+  SignalSynthesizer synth(params, Rng(seed));
+  std::vector<double> expected;
+  std::vector<double> actual;
+  for (int call = 0; call < 2; ++call) {
+    bench::ReferenceSynthesizeInto(params, reference_rng, bursts, duration,
+                                   expected);
+    synth.SynthesizeInto(bursts, duration, actual);
+    SCOPED_TRACE(call);
+    ExpectBitEqual(expected, actual);
+  }
+
+  // Three lanes: the schedule, no bursts, and the schedule again (a fresh
+  // fork, so different draws).
+  const std::vector<std::span<const Burst>> lanes = {bursts, {}, bursts};
+  SignalSynthesizer batch_synth(params, Rng(seed));
+  BatchTrace batch;
+  batch_synth.SynthesizeBatchInto(lanes, duration, batch);
+  Rng parent(seed);
+  for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
+    Rng lane_rng = parent.Fork();
+    bench::ReferenceSynthesizeInto(params, lane_rng, lanes[lane], duration,
+                                   expected);
+    SCOPED_TRACE(lane);
+    ExpectBitEqual(expected, batch.Lane(lane));
+  }
+}
+
+class SynthesisOracleByWidth : public ::testing::TestWithParam<ChannelWidth> {};
+
+TEST_P(SynthesisOracleByWidth, CbrScheduleMatchesReference) {
+  // Frames long enough that one burst spans several 512-sample blocks;
+  // 5 MHz bursts carry the ramp artifact at the default deep-ramp odds.
+  const PhyTiming t = PhyTiming::ForWidth(GetParam());
+  const Us interval = t.FrameDuration(1000) + 3000.0;
+  const auto bursts = MakeCbrSchedule(t, 6, interval, 1000, 250.0);
+  ExpectMatchesReference(SignalParams{}, bursts, 6 * interval + 777.0, 41);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWidths, SynthesisOracleByWidth,
+                         ::testing::ValuesIn(kAllWidths));
+
+TEST(SynthesisOracle, ShallowAndDeepRampsMatchReference) {
+  const PhyTiming t = PhyTiming::ForWidth(ChannelWidth::kW5);
+  auto bursts = MakeCbrSchedule(t, 5, 9000.0, 132, 100.0);
+  // Bursts shorter than the longest ramp: the ramp can cover all of it.
+  bursts.push_back(Burst{46000.0, 60.0, true, 1.0});
+  bursts.push_back(Burst{46500.0, 150.0, true, 1.0});
+  for (const double deep : {0.0, 1.0}) {
+    SignalParams params;
+    params.deep_ramp_probability = deep;
+    SCOPED_TRACE(deep);
+    ExpectMatchesReference(params, bursts, 47000.0, 5);
+  }
+}
+
+TEST(SynthesisOracle, OverlappingAndScaledBurstsMatchReference) {
+  const std::vector<Burst> bursts = {
+      {1000.0, 2000.0, false, 1.0},
+      {1500.0, 600.0, true, 0.25},   // Inside the first, ramped, quieter.
+      {2900.0, 900.0, false, 3.0},   // Straddles the first's end, louder.
+      {-300.0, 700.0, true, 1.0},    // Starts before the trace.
+      {5000.0, 0.5, false, 1.0},     // Shorter than one sample.
+  };
+  ExpectMatchesReference(SignalParams{}, bursts, 8000.0, 17);
+}
+
+TEST(SynthesisOracle, BurstsPastTheTraceEndMatchReference) {
+  // One burst runs past the end and is cut off; the next starts after the
+  // end, so it draws only its ramp realization.
+  const std::vector<Burst> bursts = {
+      {3000.0, 4000.0, true, 1.0},
+      {9000.0, 500.0, true, 1.0},
+      {200.0, 300.0, false, 1.0},
+  };
+  ExpectMatchesReference(SignalParams{}, bursts, 5000.0, 23);
+}
+
+TEST(SynthesisOracle, TraceLengthsOffTheBlockMatchReference) {
+  // Lengths around the 512-sample block and 312-word twist boundaries.
+  const PhyTiming t = PhyTiming::ForWidth(ChannelWidth::kW20);
+  const auto bursts = MakeCbrSchedule(t, 3, 200.0, 132, 10.0);
+  const SignalParams params;
+  for (const std::size_t n : {0, 1, 311, 511, 513, 1023, 1537}) {
+    SCOPED_TRACE(n);
+    ExpectMatchesReference(params, bursts,
+                           static_cast<double>(n) * params.sample_period, n);
+  }
 }
 
 // ----------------------------------------------------------- attenuation --

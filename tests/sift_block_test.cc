@@ -2,7 +2,7 @@
 //
 // The detector's contract is that burst output is a function of the
 // sample STREAM alone: feeding a trace through ProcessBlock in chunks of
-// any size — including one sample at a time via Step — must produce
+// any size — including one sample at a time — must produce
 // byte-identical bursts (exact double equality on start/end/peak, not a
 // tolerance).  These tests pin that contract across chunk sizes, window
 // widths (both the unrolled W=5 kernel and the runtime-window kernel),
@@ -34,7 +34,7 @@ std::vector<DetectedBurst> DetectChunked(const SiftParams& params,
 std::vector<DetectedBurst> DetectStepwise(const SiftParams& params,
                                           const std::vector<double>& samples) {
   SiftDetector detector(params);
-  for (double s : samples) detector.Step(s);
+  for (const double& s : samples) detector.ProcessBlock({&s, 1});
   detector.Flush();
   return detector.TakeBursts();
 }
@@ -166,7 +166,7 @@ TEST(SiftBlock, EmptyAndTinyBlocksAreHarmless) {
   detector.ProcessBlock({});
   const double hot = params.threshold * 2.0;
   // Open a burst entirely through 1-sample blocks shorter than the window.
-  for (int i = 0; i < 12; ++i) detector.Step(hot);
+  for (int i = 0; i < 12; ++i) detector.ProcessBlock({&hot, 1});
   detector.ProcessBlock({});
   detector.Flush();
   const auto bursts = detector.TakeBursts();

@@ -1,8 +1,13 @@
 // Unit tests for util: rng, stats, histogram, report, units.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
 #include <set>
+#include <vector>
 
 #include "util/histogram.h"
 #include "util/report.h"
@@ -166,6 +171,175 @@ TEST(Rng, DeriveSeedStreamsAreDecorrelated) {
     if (a.UniformInt(0, 1000) == b.UniformInt(0, 1000)) ++agree;
   }
   EXPECT_LT(agree, 8);
+}
+
+// ------------------------------------------------ engine + stream contract
+
+// Seeds for the engine-equivalence tests: the extremes, small values, the
+// std::mersenne_twister_engine default seed, and a few dense bit patterns.
+constexpr std::uint64_t kEngineSeeds[] = {
+    0, 1, 2, 5489, 0x9E3779B97F4A7C15ULL, 0x8000000000000000ULL,
+    0x00000000FFFFFFFFULL, ~std::uint64_t{0}};
+
+static_assert(std::uniform_random_bit_generator<Mt19937_64>);
+
+TEST(Mt19937_64, MatchesStdEngineWordForWord) {
+  for (const std::uint64_t seed : kEngineSeeds) {
+    Mt19937_64 engine(seed);
+    std::mt19937_64 reference(seed);
+    // 2000 words: several twists past the seeding.
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(engine(), reference()) << "seed " << seed << " word " << i;
+    }
+  }
+}
+
+TEST(Mt19937_64, FillInterleavedWithSingleDrawsMatchesStdEngine) {
+  // Fills of 311, 312 and 313 words straddle the 312-word twist at every
+  // phase; 4097 spans many twists in one call.
+  for (const std::uint64_t seed : kEngineSeeds) {
+    Mt19937_64 engine(seed);
+    std::mt19937_64 reference(seed);
+    std::vector<std::uint64_t> words;
+    for (const std::size_t fill : {1, 311, 312, 313, 4097, 0, 312}) {
+      ASSERT_EQ(engine(), reference()) << "seed " << seed;
+      words.assign(fill, 0);
+      engine.Fill(words);
+      for (std::size_t i = 0; i < fill; ++i) {
+        ASSERT_EQ(words[i], reference())
+            << "seed " << seed << " fill " << fill << " word " << i;
+      }
+    }
+    ASSERT_EQ(engine(), reference()) << "seed " << seed;
+  }
+}
+
+TEST(Mt19937_64, DistributionsMatchStdEngine) {
+  // A UniformRandomBitGenerator with std::mt19937_64's range: every
+  // <random> distribution Rng wraps consumes and maps its words the same.
+  Mt19937_64 engine(20090817);
+  std::mt19937_64 reference(20090817);
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_EQ(std::uniform_real_distribution<double>(0.0, 1.0)(engine),
+              std::uniform_real_distribution<double>(0.0, 1.0)(reference));
+    EXPECT_EQ(std::uniform_real_distribution<double>(-3.0, 7.5)(engine),
+              std::uniform_real_distribution<double>(-3.0, 7.5)(reference));
+    EXPECT_EQ(std::uniform_int_distribution<int>(-5, 1000)(engine),
+              std::uniform_int_distribution<int>(-5, 1000)(reference));
+    EXPECT_EQ(std::uniform_int_distribution<std::size_t>(0, 12)(engine),
+              std::uniform_int_distribution<std::size_t>(0, 12)(reference));
+    EXPECT_EQ(std::bernoulli_distribution(0.3)(engine),
+              std::bernoulli_distribution(0.3)(reference));
+    EXPECT_EQ(std::normal_distribution<double>(1.0, 2.0)(engine),
+              std::normal_distribution<double>(1.0, 2.0)(reference));
+    EXPECT_EQ(std::exponential_distribution<double>(0.25)(engine),
+              std::exponential_distribution<double>(0.25)(reference));
+  }
+  EXPECT_EQ(engine(), reference());
+}
+
+TEST(Rng, GoldenFirstDrawsPinTheSeeding) {
+  // Recorded from the std::mt19937_64-backed Rng: a change to the engine
+  // seeding, SplitMix64 or the fork derivation shows up here first.
+  const auto expect_draws = [](Rng& rng, std::initializer_list<double> want) {
+    for (const double w : want) EXPECT_EQ(rng.Uniform01(), w);
+  };
+  Rng r0(0);
+  expect_draws(r0, {0x1.c8e5443b0573dp-1, 0x1.d924a6db7517cp-1,
+                    0x1.8c71331052d1dp-1});
+  Rng r1(1);
+  expect_draws(r1, {0x1.109f48cd2b63p-1, 0x1.c90fc93c4f5b8p-1,
+                    0x1.c7ef13b35fb6cp-1});
+  Rng root(1);
+  Rng first = root.Fork();
+  Rng second = root.Fork();
+  Rng grandchild = first.Fork();
+  expect_draws(first, {0x1.d6dfc1d643ae3p-2, 0x1.99d7091613acbp-2,
+                       0x1.719fbb35aebeep-1});
+  expect_draws(second, {0x1.b5569e21340b8p-4, 0x1.936375cddeb65p-3,
+                        0x1.14d2baf43ec33p-1});
+  expect_draws(grandchild, {0x1.1c0ef83b1e129p-2, 0x1.55c56c34a6ff3p-1,
+                            0x1.5e3b28f74aaddp-1});
+  Rng mixed(1);
+  EXPECT_EQ(mixed.Rayleigh(1.2), 0x1.7acfcf1498b95p+0);
+  EXPECT_EQ(mixed.Rayleigh(1.2), 0x1.44897e1e50d61p+1);
+  EXPECT_EQ(mixed.UniformInt(0, 1000000), 890496);
+  EXPECT_EQ(mixed.Index(std::size_t{1} << 30), 596269373u);
+  EXPECT_EQ(mixed.Normal(0.0, 1.0), -0x1.11399448c965p-2);
+  EXPECT_EQ(mixed.Exponential(2.0), 0x1.0633d780242a7p+0);
+}
+
+TEST(Rng, FillRayleighEqualsPerElementRayleighBitForBit) {
+  // Lengths around the 512-word block and the 312-word twist, interleaved
+  // with scalar draws so the fill starts at every kind of stream offset.
+  for (const std::uint64_t seed : {3u, 77u}) {
+    Rng block(seed);
+    Rng scalar(seed);
+    std::vector<double> out;
+    for (const std::size_t n : {0, 1, 2, 311, 313, 511, 512, 513, 1500, 4097}) {
+      for (const double sigma : {1.2, 3.0e5}) {
+        out.assign(n, -1.0);
+        block.FillRayleigh(sigma, out);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+                    std::bit_cast<std::uint64_t>(scalar.Rayleigh(sigma)))
+              << "seed " << seed << " n " << n << " element " << i;
+        }
+        // Same stream position afterwards.
+        ASSERT_EQ(block.Uniform01(), scalar.Uniform01());
+      }
+    }
+  }
+}
+
+// Replays fixed words into a <random> distribution, as a 64-bit engine
+// would deliver them.
+struct ReplayEngine {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type operator()() { return *next++; }
+  const std::uint64_t* next;
+};
+
+TEST(Rng, RayleighFromWordsConvertsEdgeWordsExactly) {
+  // The block conversion against libstdc++'s generate_canonical on the
+  // words where uint64 -> double rounding is delicate: exact small values,
+  // the 2^53 boundary, round-half-to-even ties, the top bit, and the
+  // words >= 0xFFFFFFFFFFFFFC00 that round to 2^64, give u == 1.0 and
+  // take the clamp.
+  const std::vector<std::uint64_t> edges = {
+      0, 1, 2, (1ULL << 53) - 1, 1ULL << 53, (1ULL << 53) + 1,
+      (1ULL << 53) + 3, (1ULL << 54) + 2, (1ULL << 63) - 1, 1ULL << 63,
+      (1ULL << 63) + 1, (1ULL << 63) + 0x400, (1ULL << 63) + 0xC00,
+      0xFFFFFFFFFFFFF7FFULL, 0xFFFFFFFFFFFFF800ULL, 0xFFFFFFFFFFFFFBFFULL,
+      0xFFFFFFFFFFFFFC00ULL, 0xFFFFFFFFFFFFFC01ULL, 0xFFFFFFFFFFFFFFFEULL,
+      0xFFFFFFFFFFFFFFFFULL};
+  // The clamped words really reach the clamp: the reference conversion
+  // returns nextafter(1, 0) for them.
+  for (const std::uint64_t w : {0xFFFFFFFFFFFFFC00ULL, 0xFFFFFFFFFFFFFFFFULL}) {
+    ReplayEngine replay{&w};
+    EXPECT_EQ(std::uniform_real_distribution<double>(0.0, 1.0)(replay),
+              std::nextafter(1.0, 0.0));
+  }
+  Mt19937_64 filler(9);
+  for (std::size_t offset = 0; offset < 4; ++offset) {
+    // Shift the edges across vector-lane and loop-tail positions.
+    std::vector<std::uint64_t> words;
+    for (std::size_t i = 0; i < offset; ++i) words.push_back(filler());
+    for (const std::uint64_t w : edges) words.push_back(w);
+    std::vector<double> out(words.size());
+    RayleighFromWords(2.5, words, out);
+    ReplayEngine replay{words.data()};
+    for (std::size_t i = 0; i < words.size(); ++i) {
+      double u = std::uniform_real_distribution<double>(0.0, 1.0)(replay);
+      if (u >= 1.0) u = std::nextafter(1.0, 0.0);
+      const double want = 2.5 * std::sqrt(-2.0 * std::log(1.0 - u));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+                std::bit_cast<std::uint64_t>(want))
+          << "word " << std::hex << words[i];
+    }
+  }
 }
 
 // ---------------------------------------------------------------- stats ---
