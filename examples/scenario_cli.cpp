@@ -45,8 +45,8 @@
 // Examples:
 //   scenario_cli --map building5 --clients 3 --mic 28 --mic-at 5
 //   scenario_cli --map campus --background 12 --ipd 30 --static 20
-//   scenario_cli --config ../examples/configs/busy_campus.conf --metrics \
-//                --trace-json out.json
+//   scenario_cli --config ../examples/configs/busy_campus.conf --metrics
+//   scenario_cli --config ../examples/configs/mic_outage.conf --profile
 #include <cstring>
 #include <fstream>
 #include <iostream>

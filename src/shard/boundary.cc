@@ -11,12 +11,6 @@ bool CanonicalBefore(const CrossShardEvent& a, const CrossShardEvent& b) {
          std::tie(b.time, b.src_tile, b.node, b.seq);
 }
 
-void CanonicalSort(std::vector<CrossShardEvent>& events) {
-  // Stable: events are collected in deterministic tile order, so a key
-  // tie (possible only across kinds) falls back to collection order.
-  std::stable_sort(events.begin(), events.end(), CanonicalBefore);
-}
-
 bool EnergyCrossesBoundary(const PropagationModel& prop, Dbm tx_power,
                            const Position& from, const TileRect& dst,
                            Dbm floor_dbm) {
@@ -24,16 +18,26 @@ bool EnergyCrossesBoundary(const PropagationModel& prop, Dbm tx_power,
   return prop.ReceivedPower(tx_power, meters) >= floor_dbm;
 }
 
-void ShardOutbox::Push(CrossShardEvent event) {
-  event.src_tile = src_tile_;
-  event.seq = next_seq_++;
-  events_.push_back(std::move(event));
+void ShardInbox::Drain(
+    const std::function<void(const CrossShardEvent&)>& apply) {
+  order_.clear();
+  for (const std::vector<CrossShardEvent>& slot : slots_) {
+    for (const CrossShardEvent& event : slot) order_.push_back(&event);
+  }
+  // Keys are unique (seq is unique per source), so the order is total.
+  std::sort(order_.begin(), order_.end(),
+            [](const CrossShardEvent* a, const CrossShardEvent* b) {
+              return CanonicalBefore(*a, *b);
+            });
+  for (const CrossShardEvent* event : order_) apply(*event);
+  for (std::vector<CrossShardEvent>& slot : slots_) slot.clear();
 }
 
-std::vector<CrossShardEvent> ShardOutbox::Take() {
-  std::vector<CrossShardEvent> out;
-  out.swap(events_);
-  return out;
+void ShardOutbox::Send(CrossShardEvent event, ShardInbox& inbox,
+                       std::size_t sender) {
+  event.src_tile = src_tile_;
+  event.seq = next_seq_++;
+  inbox.Push(sender, std::move(event));
 }
 
 }  // namespace whitefi::shard

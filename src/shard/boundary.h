@@ -1,14 +1,16 @@
 // The deterministic cross-shard event boundary.
 //
 // During a round each tile's world runs alone on its thread; everything
-// that must cross a tile seam is recorded in the owning tile's outbox as
-// a timestamped CrossShardEvent.  At the barrier the engine drains every
-// outbox serially, sorts the union into the canonical order
-// (time, src_tile, node, seq) and applies each event at the receiving
-// tile's next horizon tick.  Because the partition, the horizon and the
-// canonical order are all functions of the scenario — never of the shard
-// count — any `--shards N` run applies the identical event sequence and
-// the federation is byte-identical to the serial run.
+// that must cross a tile seam is staged as a timestamped CrossShardEvent
+// in the DESTINATION tile's inbox, stamped by the source tile's outbox
+// with (src_tile, seq).  At the barrier every destination sorts its own
+// inbox into the canonical order (time, src_tile, node, seq) and applies
+// it at its horizon tick.  Each tile owns its simulator, RNG, medium and
+// node-id range, so only the order within one destination can matter;
+// because the partition, the horizon and the canonical order are all
+// functions of the scenario — never of the shard count — any `--shards N`
+// run applies the identical event sequence in every tile and the
+// federation is byte-identical to the serial run.
 //
 // Two event kinds cross a seam:
 //  * RemoteEnergy — a completed local transmission whose received power
@@ -18,12 +20,15 @@
 //    Medium::InjectForeignEnergy: sensed, booked and frame-tapped at the
 //    destination (so scanners measure it and chirp watches hear roamers'
 //    chirps), never delivered, never re-exported.
-//  * Roam — a scripted client session handoff between cells; applied at
-//    the barrier tick by deactivating the client's traffic in the origin
-//    cell and bringing up a new client in the destination cell.
+//  * Roam — a scripted client session handoff between cells.  The origin
+//    cell's traffic is deactivated when the roam is staged; the event
+//    brings up a new client in the destination cell.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "sim/frame.h"
@@ -43,9 +48,8 @@ struct CrossShardEvent {
   Kind kind = Kind::kRemoteEnergy;
   SimTime time = 0;        ///< Origin-tile simulated time of the event.
   int src_tile = 0;
-  int dst_tile = 0;
   int node = 0;            ///< Transmitter id, or the roaming client id.
-  std::uint64_t seq = 0;   ///< Per-outbox emission sequence (tie-break).
+  std::uint64_t seq = 0;   ///< Per-source emission sequence (tie-break).
 
   // -- RemoteEnergy payload ------------------------------------------------
   bool is_ap = false;
@@ -65,9 +69,6 @@ struct CrossShardEvent {
 /// over events from one run because `seq` is unique per (src_tile).
 bool CanonicalBefore(const CrossShardEvent& a, const CrossShardEvent& b);
 
-/// Sorts `events` into the canonical order.
-void CanonicalSort(std::vector<CrossShardEvent>& events);
-
 /// True iff energy from a transmitter at `from` with `tx_power` reaches
 /// the carrier-sense floor anywhere inside `dst` — evaluated at the
 /// nearest point of the rectangle, since path loss is monotone in
@@ -77,24 +78,42 @@ bool EnergyCrossesBoundary(const PropagationModel& prop, Dbm tx_power,
                            const Position& from, const TileRect& dst,
                            Dbm floor_dbm);
 
-/// Single-writer per-tile event staging.  The owning tile's thread pushes
-/// during its round; the engine drains at the barrier (serially).
+/// One destination tile's events for the coming barrier, staged per
+/// sender so that every slot has a single writer and a round stages
+/// without locks.  Only the destination's own barrier task drains it.
+class ShardInbox {
+ public:
+  explicit ShardInbox(std::size_t senders) : slots_(senders) {}
+
+  /// Stages `event` in slot `sender`.
+  void Push(std::size_t sender, CrossShardEvent event) {
+    slots_[sender].push_back(std::move(event));
+  }
+
+  /// Hands every staged event to `apply` in the canonical order, then
+  /// empties the inbox.
+  void Drain(const std::function<void(const CrossShardEvent&)>& apply);
+
+ private:
+  std::vector<std::vector<CrossShardEvent>> slots_;
+  std::vector<const CrossShardEvent*> order_;  ///< Drain scratch.
+};
+
+/// One source tile's sequence stream: the (src_tile, seq) half of the
+/// canonical key, shared by every destination the tile sends to.
 class ShardOutbox {
  public:
   explicit ShardOutbox(int src_tile) : src_tile_(src_tile) {}
 
-  /// Stamps src_tile and the next sequence number, then stores the event.
-  void Push(CrossShardEvent event);
-
-  /// Moves out everything staged since the last Take.
-  std::vector<CrossShardEvent> Take();
+  /// Stamps src_tile and the next sequence number, then stages the event
+  /// in slot `sender` of `inbox`.
+  void Send(CrossShardEvent event, ShardInbox& inbox, std::size_t sender);
 
   int src_tile() const { return src_tile_; }
 
  private:
   int src_tile_;
   std::uint64_t next_seq_ = 0;
-  std::vector<CrossShardEvent> events_;
 };
 
 }  // namespace whitefi::shard

@@ -28,8 +28,22 @@ ShardEngine::ShardEngine(const CityParams& city,
   cell_refs_.resize(layout_.cells.size());
   const int num_tiles = layout_.partition.NumTiles();
   tiles_.reserve(static_cast<std::size_t>(num_tiles));
+  std::vector<std::vector<int>> neighbors;
   for (int i = 0; i < num_tiles; ++i) {
-    tiles_.push_back(std::make_unique<Tile>(i));
+    neighbors.push_back(layout_.partition.Neighbors(i));
+  }
+  for (int i = 0; i < num_tiles; ++i) {
+    const std::vector<int>& mine = neighbors[static_cast<std::size_t>(i)];
+    auto tile = std::make_unique<Tile>(i, 1 + mine.size());
+    for (const int n : mine) {
+      // Neighborhoods are symmetric: tile i is in n's list, and its
+      // position there picks its sender slot in n's inbox.
+      const std::vector<int>& back = neighbors[static_cast<std::size_t>(n)];
+      const auto at = std::find(back.begin(), back.end(), i) - back.begin();
+      tile->seams.push_back(Seam{n, layout_.partition.Rect(n),
+                                 1 + static_cast<std::size_t>(at)});
+    }
+    tiles_.push_back(std::move(tile));
     BuildTile(*tiles_.back(), city_);
   }
   pool_ = std::make_unique<ThreadPool>(config_.shards);
@@ -139,23 +153,26 @@ void ShardEngine::BuildTile(Tile& tile, const CityParams& city) {
   // The boundary's observation seam: every completed LOCAL transmission
   // that still reaches a neighbor tile above the carrier-sense floor is
   // staged for the barrier.  The tap runs on this tile's round thread and
-  // touches only this tile's outbox (single writer).
-  const int t = tile.index;
+  // writes only this tile's sequence stream and its own sender slot in
+  // each neighbor's inbox (single writer each).
+  Tile* const self = &tile;
   tile.world->medium().AddEnergyTap(
-      [this, t](const Medium::EnergyTapInfo& info) { OnLocalEnergy(t, info); });
+      [this, self](const Medium::EnergyTapInfo& info) {
+        OnLocalEnergy(*self, info);
+      });
 }
 
-void ShardEngine::OnLocalEnergy(int tile, const Medium::EnergyTapInfo& info) {
+void ShardEngine::OnLocalEnergy(Tile& tile,
+                                const Medium::EnergyTapInfo& info) {
   const Position pos = info.tx.Location();
-  for (const int n : layout_.partition.Neighbors(tile)) {
-    if (!EnergyCrossesBoundary(prop_, info.power, pos,
-                               layout_.partition.Rect(n), cs_floor_)) {
+  for (const Seam& seam : tile.seams) {
+    if (!EnergyCrossesBoundary(prop_, info.power, pos, seam.rect,
+                               cs_floor_)) {
       continue;
     }
     CrossShardEvent event;
     event.kind = CrossShardEvent::Kind::kRemoteEnergy;
     event.time = info.end;
-    event.dst_tile = n;
     event.node = info.tx.NodeId();
     event.is_ap = info.tx.IsAp();
     event.position = pos;
@@ -163,85 +180,78 @@ void ShardEngine::OnLocalEnergy(int tile, const Medium::EnergyTapInfo& info) {
     event.frame = info.frame;
     event.tx_power = info.power;
     event.duration = info.end - info.start;
-    tiles_[static_cast<std::size_t>(tile)]->outbox.Push(std::move(event));
+    tile.outbox.Send(std::move(event),
+                     tiles_[static_cast<std::size_t>(seam.tile)]->inbox,
+                     seam.slot);
   }
 }
 
 void ShardEngine::Run(double seconds) {
   const SimTime end =
       now_ + static_cast<SimTime>(std::llround(seconds * kTicksPerSec));
+  const auto each_tile = [this](auto&& fn) {
+    pool_->Run(tiles_.size(), [&](std::size_t i) { fn(*tiles_[i]); });
+  };
   while (now_ < end) {
     const SimTime target = std::min(now_ + horizon_, end);
-    pool_->Run(tiles_.size(), [&](std::size_t i) {
-      tiles_[i]->world->sim().Run(target);
-    });
+    each_tile([target](Tile& tile) { tile.world->sim().Run(target); });
     now_ = target;
     ++rounds_;
-    ExchangeAndApply(target);
+    StageRoams(target);
+    each_tile([this](Tile& tile) { ApplyInbox(tile); });
   }
 }
 
-void ShardEngine::ExchangeAndApply(SimTime target) {
-  // Scripted roams that fell due this round enter through their source
-  // tile's outbox, sharing its sequence stream with the energy events —
-  // the canonical key (time, src_tile, node, seq) is then unique.
+void ShardEngine::StageRoams(SimTime target) {
+  // A roam travels from its source tile's sequence stream, after every
+  // energy event the tile sent this round, so the canonical key (time,
+  // src_tile, node, seq) stays unique.  Its origin side only cancels a
+  // CBR timer, which draws no simulator sequence number, so it is done
+  // here rather than in canonical order at the origin tile.
+  const auto tile_of = [this](int cell) -> Tile& {
+    const CellRef& ref = cell_refs_[static_cast<std::size_t>(cell)];
+    return *tiles_[static_cast<std::size_t>(ref.tile)];
+  };
   while (roam_cursor_ < layout_.roams.size() &&
          layout_.roams[roam_cursor_].at <= target) {
-    const RoamPlan& plan = layout_.roams[roam_cursor_];
-    const int src_tile =
-        layout_.cells[static_cast<std::size_t>(plan.from_cell)].tile;
+    const RoamPlan& plan = layout_.roams[roam_cursor_++];
+    CellRuntime& from = RuntimeOf(plan.from_cell);
+    const auto slot = static_cast<std::size_t>(plan.client_slot);
+    if (slot < from.cbr.size()) from.cbr[slot]->SetActive(false);
     CrossShardEvent event;
     event.kind = CrossShardEvent::Kind::kRoam;
     event.time = plan.at;
-    event.dst_tile =
-        layout_.cells[static_cast<std::size_t>(plan.to_cell)].tile;
-    event.node =
-        RuntimeOf(plan.from_cell)
-            .clients[static_cast<std::size_t>(plan.client_slot)]
-            ->NodeId();
+    event.node = from.clients[slot]->NodeId();
     event.position = plan.arrive;
     event.from_cell = plan.from_cell;
     event.to_cell = plan.to_cell;
     event.client_slot = plan.client_slot;
-    tiles_[static_cast<std::size_t>(src_tile)]->outbox.Push(std::move(event));
-    ++roam_cursor_;
+    tile_of(plan.from_cell)
+        .outbox.Send(std::move(event), tile_of(plan.to_cell).inbox,
+                     kRoamSlot);
   }
+}
 
-  std::vector<CrossShardEvent> events;
-  for (auto& tile : tiles_) {
-    std::vector<CrossShardEvent> taken = tile->outbox.Take();
-    events.insert(events.end(), std::make_move_iterator(taken.begin()),
-                  std::make_move_iterator(taken.end()));
-  }
-  CanonicalSort(events);
-  messages_shipped_ += events.size();
-
-  for (const CrossShardEvent& event : events) {
-    if (event.kind == CrossShardEvent::Kind::kRemoteEnergy) {
-      ApplyRemoteEnergy(event);
-    } else {
-      ApplyRoam(event);
+void ShardEngine::ApplyInbox(Tile& tile) {
+  // Stamp log lines (an auditor violation at a ghost's start) with this
+  // tile's clock, as during its round.
+  const ScopedLogClock log_clock = tile.world->sim().BindLogClock();
+  tile.inbox.Drain([&](const CrossShardEvent& event) {
+    if (event.kind == CrossShardEvent::Kind::kRoam) {
+      ApplyRoam(tile, event);
+      return;
     }
-  }
+    // Applied at the horizon tick (sim time == target); the ghost keeps
+    // its full original duration.
+    tile.world->medium().InjectForeignEnergy(
+        event.node, event.is_ap, event.position, event.channel, event.frame,
+        event.tx_power, event.duration);
+    ++tile.ghosts;
+  });
 }
 
-void ShardEngine::ApplyRemoteEnergy(const CrossShardEvent& event) {
-  World& world = *tiles_[static_cast<std::size_t>(event.dst_tile)]->world;
-  // Applied at the receiving tile's horizon tick (sim time == target);
-  // the ghost keeps its full original duration.
-  world.medium().InjectForeignEnergy(event.node, event.is_ap, event.position,
-                                     event.channel, event.frame,
-                                     event.tx_power, event.duration);
-  ++ghosts_injected_;
-}
-
-void ShardEngine::ApplyRoam(const CrossShardEvent& event) {
-  CellRuntime& from = RuntimeOf(event.from_cell);
-  const auto slot = static_cast<std::size_t>(event.client_slot);
-  if (slot < from.cbr.size()) from.cbr[slot]->SetActive(false);
-
+void ShardEngine::ApplyRoam(Tile& tile, const CrossShardEvent& event) {
   CellRuntime& to = RuntimeOf(event.to_cell);
-  Tile& tile = *tiles_[static_cast<std::size_t>(event.dst_tile)];
   const CellPlan& plan = layout_.cells[static_cast<std::size_t>(event.to_cell)];
 
   DeviceConfig cfg;
@@ -265,7 +275,7 @@ void ShardEngine::ApplyRoam(const CrossShardEvent& event) {
   if (to.auditor != nullptr) {
     to.auditor->RegisterClient(client.NodeId(), client_params);
   }
-  ++roams_applied_;
+  ++tile.roams;
 }
 
 ShardEngine::CellRuntime& ShardEngine::RuntimeOf(int cell) {
@@ -293,6 +303,23 @@ std::map<std::string, std::uint64_t> ShardEngine::MergedCounters() const {
     }
   }
   return merged;
+}
+
+std::uint64_t ShardEngine::messages_shipped() const {
+  // Every shipped event is applied before Run returns, as one or the other.
+  return ghosts_injected() + roams_applied();
+}
+
+std::uint64_t ShardEngine::ghosts_injected() const {
+  std::uint64_t total = 0;
+  for (const auto& tile : tiles_) total += tile->ghosts;
+  return total;
+}
+
+std::uint64_t ShardEngine::roams_applied() const {
+  std::uint64_t total = 0;
+  for (const auto& tile : tiles_) total += tile->roams;
+  return total;
 }
 
 std::uint64_t ShardEngine::EventsProcessed() const {
@@ -360,8 +387,8 @@ std::string ShardEngine::SummaryText() const {
      << " clients=" << clients << " horizon_us=" << horizon_
      << " rounds=" << rounds_ << "\n";
   os << "events=" << EventsProcessed() << " transmissions=" << Transmissions()
-     << " messages=" << messages_shipped_ << " ghosts=" << ghosts_injected_
-     << " roams=" << roams_applied_ << "\n";
+     << " messages=" << messages_shipped() << " ghosts=" << ghosts_injected()
+     << " roams=" << roams_applied() << "\n";
   os << "app_bytes=" << AppBytesTotal() << " trace_events=" << TraceTotal()
      << "\n";
   if (!config_.audit) {

@@ -4,20 +4,21 @@
 // rounds of one conservative horizon each:
 //
 //   round:   every tile runs sim.Run(target) — in parallel, one tile per
-//            pool slot; a tile touches only its own world, its own
-//            metrics registry and its own outbox, so rounds share no
-//            mutable state.
-//   barrier: the engine (serially) drains every outbox in tile order,
-//            appends the scripted roams that fell due, sorts the union
-//            into the canonical (time, src_tile, node, seq) order and
-//            applies each event at the receiving tile's horizon tick —
-//            ghost energy via Medium::InjectForeignEnergy, roams as
-//            session handoffs.
+//            pool slot.  A tile touches only its own world and metrics
+//            registry, plus its own sender slot in each neighbor's inbox,
+//            so rounds share no mutable state.
+//   barrier: the engine (serially) stages the scripted roams that fell
+//            due and cancels their origin traffic; then every tile, in
+//            parallel again, sorts its own inbox into the canonical
+//            (time, src_tile, node, seq) order and applies it at its
+//            horizon tick — ghost energy via Medium::InjectForeignEnergy,
+//            roams as session handoffs.
 //
 // Determinism: the partition, the horizon, the canonical order and every
-// per-tile seed derive from the scenario alone.  `shards` only sets the
-// thread-pool width mapping tiles onto threads; `--shards N` therefore
-// produces byte-identical science to `--shards 1` (shard_test and the CI
+// per-tile seed derive from the scenario alone, and a barrier event only
+// touches its destination tile.  `shards` only sets the thread-pool width
+// mapping tiles onto threads; `--shards N` therefore produces
+// byte-identical science to `--shards 1` (shard_test and the CI
 // byte-identity leg pin this).
 #pragma once
 
@@ -103,9 +104,9 @@ class ShardEngine {
   std::uint64_t TraceTotal() const;
 
   std::uint64_t rounds() const { return rounds_; }
-  std::uint64_t messages_shipped() const { return messages_shipped_; }
-  std::uint64_t ghosts_injected() const { return ghosts_injected_; }
-  std::uint64_t roams_applied() const { return roams_applied_; }
+  std::uint64_t messages_shipped() const;
+  std::uint64_t ghosts_injected() const;
+  std::uint64_t roams_applied() const;
 
   bool audit_ok() const;
   std::uint64_t audit_violations() const;
@@ -129,6 +130,14 @@ class ShardEngine {
     InvariantAuditor* auditor = nullptr;
   };
 
+  /// A seam this tile's energy may cross: the neighbor, its rectangle and
+  /// this tile's sender slot in the neighbor's inbox.
+  struct Seam {
+    int tile = 0;
+    TileRect rect;
+    std::size_t slot = 0;
+  };
+
   struct Tile {
     int index = 0;
     std::unique_ptr<MetricsRegistry> metrics;
@@ -136,10 +145,19 @@ class ShardEngine {
     std::unique_ptr<AuditFanout> fanout;
     std::unique_ptr<World> world;
     ShardOutbox outbox;
+    /// Sender slots: kRoamSlot for the barrier's roam staging, then one
+    /// per neighbor in Partition::Neighbors order.
+    ShardInbox inbox;
+    std::vector<Seam> seams;
     std::vector<CellRuntime> cells;
+    // Events applied at this tile's barriers (its own barrier task only).
+    std::uint64_t ghosts = 0;
+    std::uint64_t roams = 0;
 
-    explicit Tile(int i) : index(i), outbox(i) {}
+    Tile(int i, std::size_t senders) : index(i), outbox(i), inbox(senders) {}
   };
+
+  static constexpr std::size_t kRoamSlot = 0;
 
   /// Where cell `c` lives: (tile, index within the tile's cell list).
   struct CellRef {
@@ -148,10 +166,13 @@ class ShardEngine {
   };
 
   void BuildTile(Tile& tile, const CityParams& city);
-  void OnLocalEnergy(int tile, const Medium::EnergyTapInfo& info);
-  void ExchangeAndApply(SimTime target);
-  void ApplyRemoteEnergy(const CrossShardEvent& event);
-  void ApplyRoam(const CrossShardEvent& event);
+  void OnLocalEnergy(Tile& tile, const Medium::EnergyTapInfo& info);
+  /// Serial: moves the roams due by `target` into their destination
+  /// inboxes and deactivates their origin traffic.
+  void StageRoams(SimTime target);
+  /// One tile's barrier: drains its inbox in canonical order.
+  void ApplyInbox(Tile& tile);
+  void ApplyRoam(Tile& tile, const CrossShardEvent& event);
   CellRuntime& RuntimeOf(int cell);
   const CellRuntime& RuntimeOf(int cell) const;
 
@@ -168,9 +189,6 @@ class ShardEngine {
 
   SimTime now_ = 0;
   std::uint64_t rounds_ = 0;
-  std::uint64_t messages_shipped_ = 0;
-  std::uint64_t ghosts_injected_ = 0;
-  std::uint64_t roams_applied_ = 0;
   std::size_t roam_cursor_ = 0;
 };
 

@@ -207,11 +207,13 @@ void Simulator::FireLoop(SimTime until) {
 }
 
 void Simulator::Run(SimTime until) {
+  const ScopedLogClock log_clock = BindLogClock();
   FireLoop(until);
   if (!stopped_) now_ = std::max(now_, until);
 }
 
 void Simulator::RunUntilIdle() {
+  const ScopedLogClock log_clock = BindLogClock();
   FireLoop(std::numeric_limits<SimTime>::max());
 }
 

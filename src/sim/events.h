@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "sim/time.h"
+#include "util/log.h"
 
 namespace whitefi {
 
@@ -229,6 +230,13 @@ class Simulator {
 
   /// Stops Run/RunUntilIdle after the current event returns.
   void Stop() { stopped_ = true; }
+
+  /// Stamps the calling thread's log lines with this simulator's clock
+  /// while the returned scope lives.  Run and RunUntilIdle bind it for
+  /// their duration; code driving the world between runs may bind it too.
+  [[nodiscard]] ScopedLogClock BindLogClock() const {
+    return ScopedLogClock(&now_);
+  }
 
   /// Number of events executed so far.
   std::size_t NumProcessed() const { return processed_; }

@@ -100,23 +100,25 @@ void Medium::StartTransmission(RadioPort* tx, const Channel& channel,
       obs_.trace->CountSkipped(TraceEventKind::kFrameTx);
     }
   }
-  ActiveTx record{id,      tx,  channel, frame,
-                  tx_power, sim_.Now(), sim_.Now() + duration,
-                  {}, foreign};
+  ActiveTx& record = records_.emplace_back(
+      ActiveTx{id, tx, channel, frame, tx_power, sim_.Now(),
+               sim_.Now() + duration, {}, foreign});
+  ++on_air_;
   // Record mutual interference with every time-overlapping transmission on
   // overlapping spectrum: only transmissions indexed on the channels this
   // frame spans can overlap it.  Each is visited once (at the first spanned
   // channel inside our range); the collected ids are sorted so the
   // interference sums accumulate in the same ascending-id order as the
-  // full-scan implementation this replaces.
+  // full-scan implementation this replaces.  Only local receptions read
+  // the lists, so ghosts keep none (but appear in every local list).
   const auto lo = static_cast<std::size_t>(channel.Low());
   const auto hi = static_cast<std::size_t>(channel.High());
   for (std::size_t c = lo; c <= hi; ++c) {
     for (ActiveTx* other : channel_txs_[c]) {
       const auto other_lo = static_cast<std::size_t>(other->channel.Low());
       if (std::max(other_lo, lo) != c) continue;  // Seen at an earlier c.
-      other->interferers.push_back(id);
-      record.interferers.push_back(other->id);
+      if (!other->foreign) other->interferers.push_back(id);
+      if (!foreign) record.interferers.push_back(other->id);
     }
   }
   std::sort(record.interferers.begin(), record.interferers.end());
@@ -124,10 +126,8 @@ void Medium::StartTransmission(RadioPort* tx, const Channel& channel,
     AccrueChannel(c);
     ++active_count_[c];
     books_[c].per_node[tx->NodeId()] += ToUs(duration);
+    channel_txs_[c].push_back(&record);
   }
-  ActiveTx& stored = active_.emplace(id, std::move(record)).first->second;
-  for (std::size_t c = lo; c <= hi; ++c) channel_txs_[c].push_back(&stored);
-  ++radio_tx_count_[tx];
   // Audit seam: the transmission is committed (indexed + booked) from this
   // instant; the auditor sees exactly what the airtime books will accrue.
   if (obs_.auditor != nullptr) {
@@ -142,62 +142,51 @@ void Medium::StartTransmission(RadioPort* tx, const Channel& channel,
 
 void Medium::EndTransmission(std::uint64_t tx_id,
                              std::function<void()> on_end) {
-  auto it = active_.find(tx_id);
-  if (it == active_.end()) return;
-  ActiveTx* const stored = &it->second;
-  for (auto c = static_cast<std::size_t>(stored->channel.Low());
-       c <= static_cast<std::size_t>(stored->channel.High()); ++c) {
+  // A record on the air is never collected, so the index is in range.
+  assert(tx_id >= first_record_id_);
+  ActiveTx& tx = records_[tx_id - first_record_id_];
+  for (auto c = static_cast<std::size_t>(tx.channel.Low());
+       c <= static_cast<std::size_t>(tx.channel.High()); ++c) {
     AccrueChannel(c);
     --active_count_[c];
     auto& list = channel_txs_[c];
-    auto pos = std::find(list.begin(), list.end(), stored);
+    auto pos = std::find(list.begin(), list.end(), &tx);
     assert(pos != list.end());
     *pos = list.back();
     list.pop_back();
   }
-  if (auto rt = radio_tx_count_.find(stored->tx); --rt->second == 0) {
-    radio_tx_count_.erase(rt);
-  }
-  ActiveTx tx = std::move(it->second);
-  active_.erase(it);
-  const Channel channel = tx.channel;
-  const Frame frame = tx.frame;
-  RadioPort* const tx_radio = tx.tx;
-  const Dbm tx_power = tx.power;
-  const SimTime tx_start = tx.start;
-  const SimTime tx_end = tx.end;
-  const bool foreign = tx.foreign;
-  recently_ended_.emplace(tx_id, std::move(tx));
-  ended_order_.push_back(tx_id);
-  ResolveReceptions(recently_ended_.at(tx_id));
-  if (active_.empty()) {
-    recently_ended_.clear();
-    ended_order_.clear();
-  } else {
-    // Bounded GC for continuously-busy workloads: an entry can only be
-    // referenced by an active transmission that overlapped it in time, and
-    // no frame lasts anywhere near a second, so older entries are dead.
-    // ended_order_ is end-time-ordered, so only the expired prefix is
-    // examined — one comparison when nothing is old enough.
-    const SimTime horizon = sim_.Now() - kTicksPerSec;
-    while (!ended_order_.empty()) {
-      const auto it = recently_ended_.find(ended_order_.front());
-      if (it == recently_ended_.end()) {  // Dropped by a bulk clear.
-        ended_order_.pop_front();
-        continue;
-      }
-      if (it->second.end >= horizon) break;
-      recently_ended_.erase(it);
-      ended_order_.pop_front();
-    }
-  }
+  --on_air_;
+  ResolveReceptions(tx);
+  // `tx` stays put while the callbacks below start new transmissions: the
+  // ring only grows at the back, which moves no element.
   if (on_end) on_end();
-  NotifyOverlapping(channel);
-  for (const FrameTap& tap : taps_) tap(channel, frame, *tx_radio);
-  if (!foreign) {
-    const EnergyTapInfo info{channel, frame, *tx_radio, tx_power, tx_start,
-                             tx_end};
+  NotifyOverlapping(tx.channel);
+  for (const FrameTap& tap : taps_) tap(tx.channel, tx.frame, *tx.tx);
+  if (!tx.foreign) {
+    const EnergyTapInfo info{tx.channel, tx.frame, *tx.tx,
+                             tx.power,   tx.start, tx.end};
     for (const EnergyTap& tap : energy_taps_) tap(info);
+  }
+  CollectRecords();
+}
+
+void Medium::CollectRecords() {
+  // Only a reception reads an ended record, as an interferer of a
+  // transmission it overlapped in time.  When nothing is on the air every
+  // record is dead; otherwise a record that ended more than a second ago
+  // is, since no frame lasts anywhere near a second.  Records leave in id
+  // (start) order, so one on the air shields the ended ones behind it —
+  // one comparison when nothing is old enough.  A record on the air ends
+  // at or after now, so the loop stops at it at the latest.
+  if (on_air_ == 0) {
+    first_record_id_ += records_.size();
+    records_.clear();
+    return;
+  }
+  const SimTime horizon = sim_.Now() - kTicksPerSec;
+  while (records_.front().end < horizon) {
+    records_.pop_front();
+    ++first_record_id_;
   }
 }
 
@@ -228,11 +217,8 @@ void Medium::SetObservability(const Observability& obs) {
 }
 
 const Medium::ActiveTx* Medium::FindTx(std::uint64_t id) const {
-  if (auto it = active_.find(id); it != active_.end()) return &it->second;
-  if (auto jt = recently_ended_.find(id); jt != recently_ended_.end()) {
-    return &jt->second;
-  }
-  return nullptr;
+  if (id < first_record_id_) return nullptr;  // Collected.
+  return &records_[id - first_record_id_];
 }
 
 double Medium::InterferencePowerMw(const ActiveTx& tx,
@@ -405,7 +391,12 @@ bool Medium::CarrierSensed(const RadioPort& radio,
 }
 
 bool Medium::Transmitting(const RadioPort& radio) const {
-  return radio_tx_count_.count(&radio) > 0;
+  for (const auto& list : channel_txs_) {
+    for (const ActiveTx* tx : list) {
+      if (tx->tx == &radio) return true;
+    }
+  }
+  return false;
 }
 
 AirtimeBooks Medium::SnapshotBooks() {

@@ -22,6 +22,8 @@
 // (one timestamp each) instead of walking all 30 channels on every
 // transmit/end.  Sim time is integer microseconds and `ToUs` is exact, so
 // the lazily-partitioned busy sums are bit-equal to the eager walk.
+// Transmission records live in one ring indexed by their dense, monotone
+// ids, so a lookup is an index and a transmission allocates no map node.
 #pragma once
 
 #include <array>
@@ -30,7 +32,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "fault/fault.h"
@@ -170,6 +171,11 @@ class Medium {
   /// Number of transmissions started since construction.
   std::uint64_t NumTransmissions() const { return next_tx_id_ - 1; }
 
+  /// Transmission records currently kept: those on the air plus ended
+  /// ones not yet collected (a record is collected once it ended more
+  /// than 1 s ago, or when nothing is on the air).
+  std::size_t RetainedRecords() const { return records_.size(); }
+
   /// Ids of registered radios flagged as APs.
   std::vector<int> ApIds() const;
 
@@ -224,7 +230,9 @@ class Medium {
     Dbm power;
     SimTime start;
     SimTime end;
-    /// Transmissions that overlapped this one in time AND spectrum.
+    /// Transmissions that overlapped this one in time AND spectrum, in
+    /// ascending id order.  Only receptions read it, so a foreign record
+    /// keeps none; a local one lists every ghost it overlapped.
     std::vector<std::uint64_t> interferers;
     /// Cross-shard ghost energy: sensed and booked, never delivered.
     bool foreign = false;
@@ -252,6 +260,8 @@ class Medium {
                          const Frame& frame, Dbm tx_power, SimTime duration,
                          bool foreign, std::function<void()> on_end);
   void EndTransmission(std::uint64_t tx_id, std::function<void()> on_end);
+  /// Pops collectable records off the front of the ring.
+  void CollectRecords();
   void ResolveReceptions(const ActiveTx& tx);
   void NotifyOverlapping(const Channel& channel);
   /// Brings one UHF channel's busy book current (lazy accrual).
@@ -267,26 +277,23 @@ class Medium {
   std::map<int, std::unique_ptr<ForeignSource>> foreign_sources_;
   std::vector<FrameTap> taps_;
   std::vector<EnergyTap> energy_taps_;
-  std::unordered_map<std::uint64_t, ActiveTx> active_;
-  /// Finished transmissions kept until no active transmission references
-  /// them as interferers.
-  std::map<std::uint64_t, ActiveTx> recently_ended_;
-  /// Ids of recently_ended_ entries in insertion order.  Insertion happens
-  /// at each transmission's end time, so this is end-time order and GC only
-  /// ever has to examine the expired prefix instead of the whole map.
-  std::deque<std::uint64_t> ended_order_;
+  /// Every transmission record still referenceable, on the air or ended:
+  /// record `id` sits at `records_[id - first_record_id_]`.  Ids are dense
+  /// and monotone, so records enter at the back and are collected from
+  /// the front; a deque never moves its elements, so the pointers in
+  /// channel_txs_ stay valid while the ring grows.
+  std::deque<ActiveTx> records_;
+  std::uint64_t first_record_id_ = 1;
   std::uint64_t next_tx_id_ = 1;
+  /// Records whose transmission has not ended yet.
+  std::size_t on_air_ = 0;
 
   /// Per-UHF-channel index of active transmissions: a transmission spanning
   /// [Low, High] appears in every spanned channel's list.  Queries over a
   /// channel span visit each transmission exactly once by only processing
-  /// it at the first spanned channel inside the query range.  Pointees are
-  /// unordered_map nodes, so they are stable until erased.
+  /// it at the first spanned channel inside the query range.
   std::array<std::vector<ActiveTx*>, static_cast<std::size_t>(kNumUhfChannels)>
       channel_txs_;
-  /// Number of active transmissions per transmitting radio (O(1)
-  /// Transmitting checks; erased when the count returns to zero).
-  std::unordered_map<const RadioPort*, int> radio_tx_count_;
 
   // Airtime accounting.
   AirtimeBooks books_;

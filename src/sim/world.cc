@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "util/log.h"
-
 namespace whitefi {
 
 World::World(const WorldConfig& config)
@@ -17,12 +15,9 @@ World::World(const WorldConfig& config)
   if (config_.faults != nullptr) {
     config_.faults->SetObservability(config_.obs);
   }
-  // Stamp log lines with this world's simulated time.  The owner token
-  // keeps a dying world from clearing a newer world's source.
-  SetLogTimeSource(this, [this] { return ToSeconds(sim_.Now()); });
 }
 
-World::~World() { ClearLogTimeSource(this); }
+World::~World() = default;
 
 Device* World::FindDevice(int id) {
   for (const auto& device : devices_) {

@@ -17,11 +17,8 @@ const char* LevelName(LogLevel level) {
   return "?????";
 }
 
-// The installed simulated-time source and its owner token.  Single global:
-// scenario code runs worlds sequentially, and the owner check keeps a
-// dying world from clearing a newer world's source.
-const void* g_time_owner = nullptr;
-std::function<double()> g_time_source;
+// The simulated clock bound to this thread (see ScopedLogClock), or null.
+thread_local const std::int64_t* t_clock_us = nullptr;
 
 }  // namespace
 
@@ -35,24 +32,22 @@ LogLevel GetLogLevel() {
       internal::g_log_level.load(std::memory_order_relaxed));
 }
 
-void SetLogTimeSource(const void* owner, std::function<double()> now_seconds) {
-  g_time_owner = owner;
-  g_time_source = std::move(now_seconds);
+ScopedLogClock::ScopedLogClock(const std::int64_t* now_us)
+    : previous_(t_clock_us) {
+  t_clock_us = now_us;
 }
 
-void ClearLogTimeSource(const void* owner) {
-  if (g_time_owner != owner) return;
-  g_time_owner = nullptr;
-  g_time_source = nullptr;
-}
+ScopedLogClock::~ScopedLogClock() { t_clock_us = previous_; }
 
 void LogLine(LogLevel level, const std::string& tag,
              const std::string& message) {
   if (!LogEnabled(level)) return;
   std::cerr << "[" << LevelName(level);
-  if (g_time_source) {
-    std::cerr << " " << std::fixed << std::setprecision(6) << g_time_source()
-              << "s" << std::defaultfloat;
+  if (t_clock_us != nullptr) {
+    // Microseconds to seconds exactly as ToSeconds (sim/time.h) does.
+    std::cerr << " " << std::fixed << std::setprecision(6)
+              << static_cast<double>(*t_clock_us) / 1e6 << "s"
+              << std::defaultfloat;
   }
   if (!tag.empty()) std::cerr << " " << tag;
   std::cerr << "] " << message << "\n";

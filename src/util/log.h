@@ -12,12 +12,13 @@
 //
 //   [INFO  12.304000s core/ap3] AP 3 now on (ch23, 20MHz)
 //
-// The time stamp appears once a time source is installed (the World does
-// this for its simulator clock); the tag comes from WHITEFI_LOG_TAGGED.
+// The time stamp appears while a simulated clock is bound to the logging
+// thread (a Simulator binds its own for the duration of each Run); the tag
+// comes from WHITEFI_LOG_TAGGED.
 #pragma once
 
 #include <atomic>
-#include <functional>
+#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -43,14 +44,22 @@ inline bool LogEnabled(LogLevel level) {
          internal::g_log_level.load(std::memory_order_relaxed);
 }
 
-/// Installs a simulated-time source: every subsequent log line is stamped
-/// with `now_seconds()`.  `owner` is an opaque token so a World being
-/// destroyed only clears the source it installed itself (scenario harness
-/// code creates worlds back to back).
-void SetLogTimeSource(const void* owner, std::function<double()> now_seconds);
+/// Stamps every line the calling thread logs with a simulated clock while
+/// in scope, then restores the thread's previous clock.  `now_us` points at
+/// the clock's current time in integer microseconds (the simulator tick)
+/// and must outlive the scope.  The binding is per thread, so worlds
+/// running on different threads stamp their own lines.
+class ScopedLogClock {
+ public:
+  explicit ScopedLogClock(const std::int64_t* now_us);
+  ~ScopedLogClock();
 
-/// Clears the time source iff `owner` installed the current one.
-void ClearLogTimeSource(const void* owner);
+  ScopedLogClock(const ScopedLogClock&) = delete;
+  ScopedLogClock& operator=(const ScopedLogClock&) = delete;
+
+ private:
+  const std::int64_t* previous_;
+};
 
 /// Emits one line to stderr if `level` passes the global filter; `tag` (a
 /// component label like "core/ap3") may be empty.

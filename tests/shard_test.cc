@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -110,7 +111,6 @@ TEST(BoundaryTest, EnergyExactlyAtTheFloorCrosses) {
 }
 
 TEST(BoundaryTest, CanonicalOrderIsTimeTileNodeSeq) {
-  std::vector<CrossShardEvent> events;
   auto make = [](SimTime t, int tile, int node, std::uint64_t seq) {
     CrossShardEvent e;
     e.time = t;
@@ -119,32 +119,48 @@ TEST(BoundaryTest, CanonicalOrderIsTimeTileNodeSeq) {
     e.seq = seq;
     return e;
   };
-  events.push_back(make(200, 0, 5, 0));
-  events.push_back(make(100, 1, 9, 3));
-  events.push_back(make(100, 0, 9, 2));
-  events.push_back(make(100, 0, 3, 7));
-  CanonicalSort(events);
+  // Staged across sender slots in an order the drain must not keep.
+  ShardInbox inbox(3);
+  inbox.Push(0, make(200, 0, 5, 0));
+  inbox.Push(2, make(100, 1, 9, 3));
+  inbox.Push(1, make(100, 0, 9, 2));
+  inbox.Push(1, make(100, 0, 3, 7));
+  std::vector<CrossShardEvent> events;
+  inbox.Drain([&](const CrossShardEvent& e) { events.push_back(e); });
+  ASSERT_EQ(events.size(), 4u);
   EXPECT_EQ(events[0].node, 3);   // (100, 0, 3, 7)
   EXPECT_EQ(events[1].seq, 2u);   // (100, 0, 9, 2)
   EXPECT_EQ(events[2].src_tile, 1);
   EXPECT_EQ(events[3].time, 200);
+  // Draining empties every slot.
+  inbox.Drain([](const CrossShardEvent&) { FAIL(); });
 }
 
 TEST(BoundaryTest, OutboxStampsTileAndMonotonicSeq) {
   ShardOutbox outbox(7);
+  ShardInbox east(2);
+  ShardInbox west(1);
   CrossShardEvent e;
   e.kind = CrossShardEvent::Kind::kRemoteEnergy;
-  outbox.Push(e);
-  outbox.Push(e);
-  const std::vector<CrossShardEvent> taken = outbox.Take();
+  outbox.Send(e, east, 1);
+  outbox.Send(e, west, 0);
+  std::vector<CrossShardEvent> taken;
+  const auto take = [&taken](const CrossShardEvent& event) {
+    taken.push_back(event);
+  };
+  east.Drain(take);
+  west.Drain(take);
   ASSERT_EQ(taken.size(), 2u);
   EXPECT_EQ(taken[0].src_tile, 7);
   EXPECT_EQ(taken[0].seq, 0u);
+  EXPECT_EQ(taken[1].src_tile, 7);
   EXPECT_EQ(taken[1].seq, 1u);
-  EXPECT_TRUE(outbox.Take().empty());
-  // The stream keeps counting across Take calls — seqs never repeat.
-  outbox.Push(e);
-  EXPECT_EQ(outbox.Take()[0].seq, 2u);
+  // One stream across destinations and drains — seqs never repeat.
+  taken.clear();
+  outbox.Send(e, east, 0);
+  east.Drain(take);
+  ASSERT_EQ(taken.size(), 1u);
+  EXPECT_EQ(taken[0].seq, 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -387,6 +403,92 @@ TEST(ShardEngineTest, RoamsApplyAtTheFollowingHorizonTick) {
              static_cast<double>(kTicksPerSec));
   EXPECT_EQ(engine.roams_applied(), 1u);
   EXPECT_GE(engine.Now(), plan.at);
+}
+
+/// FNV-1a 64 of a summary text.
+std::uint64_t SummaryHash(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// SmallCity with a scripted roam at almost every barrier: the roam
+/// period is just under one horizon (~8.1 ms).
+CityParams RoamEveryRoundCity() {
+  CityParams params = SmallCity();
+  params.num_roams = 100;
+  params.roam_start_s = 0.01;
+  params.roam_period_s = 0.008;
+  return params;
+}
+
+TEST(ShardEngineTest, RoamEveryRoundMatchesGoldenSummaries) {
+  // A one-tile city makes every roam intra-tile: its origin cancel and
+  // its destination handoff hit the same world.
+  CityParams one_tile = RoamEveryRoundCity();
+  one_tile.width_m = 3000.0;
+  one_tile.height_m = 3000.0;
+  one_tile.num_aps = 4;
+  one_tile.num_roams = 50;
+  ASSERT_EQ(GenerateCity(one_tile, MediumParams{}).partition.NumTiles(), 1);
+  // Hashes of SummaryText() recorded with the serial global barrier
+  // (every event of a round sorted together, then applied one by one);
+  // the per-destination barrier must reproduce them at every shard count.
+  const struct {
+    const char* name;
+    CityParams city;
+    double seconds;
+    std::uint64_t hash;
+  } cases[] = {
+      {"grid", RoamEveryRoundCity(), 1.0, 0x3fae53162dbcbe46ull},
+      {"one_tile", one_tile, 0.5, 0x3afee7b053fa6870ull},
+  };
+  for (const auto& c : cases) {
+    for (const int shards : {1, 2, 4}) {
+      ShardEngineConfig config;
+      config.shards = shards;
+      config.audit = true;
+      ShardEngine engine(c.city, config);
+      engine.Run(c.seconds);
+      EXPECT_EQ(engine.roams_applied(), engine.layout().roams.size());
+      EXPECT_EQ(SummaryHash(engine.SummaryText()), c.hash)
+          << c.name << " at " << shards << " shards: 0x" << std::hex
+          << SummaryHash(engine.SummaryText()) << "\n"
+          << engine.SummaryText();
+    }
+  }
+}
+
+TEST(ShardEngineTest, RoamsLandInTilesReceivingGhostsTheSameRound) {
+  // Pins that the golden grid city above exercises a roam applied in the
+  // same barrier as ghost energy bound for the same tile.
+  const CityParams city = RoamEveryRoundCity();
+  ShardEngineConfig config;
+  ShardEngine engine(city, config);
+  const auto ghosts_at = [&engine](int tile) {
+    return engine.tile_world(tile)
+        .metrics()
+        ->GetCounter("whitefi.medium.foreign_energy")
+        .value();
+  };
+  int shared_rounds = 0;
+  std::size_t roams_seen = 0;
+  while (roams_seen < engine.layout().roams.size()) {
+    std::vector<std::uint64_t> before;
+    for (int t = 0; t < engine.NumTiles(); ++t) before.push_back(ghosts_at(t));
+    engine.Run(static_cast<double>(engine.horizon()) / kTicksPerSec);
+    for (; roams_seen < engine.roams_applied(); ++roams_seen) {
+      const RoamPlan& roam = engine.layout().roams[roams_seen];
+      const int tile = engine.layout().cells[roam.to_cell].tile;
+      if (ghosts_at(tile) > before[static_cast<std::size_t>(tile)]) {
+        ++shared_rounds;
+      }
+    }
+  }
+  EXPECT_GT(shared_rounds, 50);
 }
 
 TEST(ShardEngineTest, AuditedRunHoldsEveryInvariant) {

@@ -1,6 +1,6 @@
 // Tests for the radio medium: exact-channel delivery, width dropping,
 // cross-width carrier sense, SINR collisions, airtime books, frame taps,
-// and half-duplex behavior.
+// half-duplex behavior, ghost interference and record collection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "sim/medium.h"
 #include "util/units.h"
 
@@ -277,6 +278,117 @@ TEST_F(MediumTest, FarAwayReceiverBelowSnrGetsNothing) {
   medium.Transmit(&tx, ch, DataFrame(1, 2), 16.0, 100, nullptr);
   sim_.Run(1000);
   EXPECT_TRUE(rx.delivered.empty());
+}
+
+// ------------------------------------------------------ ghost interference ---
+
+/// What one local Data reception looked like under one interferer.
+struct Reception {
+  std::vector<int> delivered_data;  ///< Data frame sources at the receiver.
+  std::uint64_t rx_data = 0;
+  std::uint64_t drop_data = 0;
+  std::uint64_t beacons_seen = 0;   ///< Interferer frames delivered/dropped.
+
+  bool operator==(const Reception&) const = default;
+};
+
+/// Sends one Data frame 0 -> 400 m on ch 10 (5 MHz) while node 3 at
+/// `at` sends a Beacon on `channel` from `start`: as a local transmitter
+/// that does not listen, or as a ghost injected into the medium.
+Reception ReceiveUnder(bool ghost, Position at, Channel channel,
+                       SimTime start) {
+  Simulator sim;
+  MetricsRegistry metrics;
+  Medium medium(sim, MediumParams{});
+  Observability obs;
+  obs.metrics = &metrics;
+  medium.SetObservability(obs);
+  const Channel ch{10, ChannelWidth::kW5};
+  FakeRadio tx(1, {0, 0}, ch), rx(2, {400, 0}, ch);
+  FakeRadio interferer(3, at, channel);
+  medium.Register(&tx);
+  medium.Register(&rx);
+  Frame beacon;
+  beacon.type = FrameType::kBeacon;
+  beacon.src = 3;
+  beacon.bytes = 300;
+  sim.Schedule(start, [&] {
+    if (ghost) {
+      medium.InjectForeignEnergy(3, /*is_ap=*/true, at, channel, beacon, 16.0,
+                                 300);
+    } else {
+      medium.Transmit(&interferer, channel, beacon, 16.0, 300, nullptr);
+    }
+  });
+  sim.Schedule(100, [&] {
+    medium.Transmit(&tx, ch, DataFrame(1, 2), 16.0, 300, nullptr);
+  });
+  sim.RunUntilIdle();
+  Reception out;
+  for (const Frame& f : rx.delivered) {
+    if (f.type == FrameType::kData) out.delivered_data.push_back(f.src);
+  }
+  out.rx_data = metrics.GetCounter("whitefi.medium.rx.Data").value();
+  out.drop_data = metrics.GetCounter("whitefi.medium.drop.Data").value();
+  out.beacons_seen = metrics.GetCounter("whitefi.medium.rx.Beacon").value() +
+                     metrics.GetCounter("whitefi.medium.drop.Beacon").value();
+  return out;
+}
+
+TEST(GhostInterference, DropsOrDeliversExactlyAsALocalTransmitterWould) {
+  int drops = 0;
+  int deliveries = 0;
+  for (const double x : {450.0, 900.0, 1500.0, 2500.0, 20000.0}) {
+    for (const Channel channel :
+         {Channel{10, ChannelWidth::kW5}, Channel{10, ChannelWidth::kW20},
+          Channel{20, ChannelWidth::kW5}}) {
+      for (const SimTime start : {SimTime{0}, SimTime{250}}) {
+        const Reception local = ReceiveUnder(false, {x, 0}, channel, start);
+        const Reception ghost = ReceiveUnder(true, {x, 0}, channel, start);
+        EXPECT_EQ(ghost.delivered_data, local.delivered_data)
+            << "x=" << x << " " << channel.ToString() << " start=" << start;
+        EXPECT_EQ(ghost.rx_data, local.rx_data);
+        EXPECT_EQ(ghost.drop_data, local.drop_data);
+        EXPECT_EQ(ghost.rx_data + ghost.drop_data, 1u);
+        // A ghost is never delivered, nor counted as a drop.
+        EXPECT_EQ(ghost.beacons_seen, 0u);
+        drops += static_cast<int>(ghost.drop_data);
+        deliveries += static_cast<int>(ghost.rx_data);
+      }
+    }
+  }
+  // Both outcomes occur, so the comparison above is not vacuous.
+  EXPECT_GT(drops, 0);
+  EXPECT_GT(deliveries, 0);
+}
+
+TEST_F(MediumTest, RetainedRecordsStayBoundedUnderContinuousTraffic) {
+  // Two radios alternate 600 us frames every 500 us for 5 s, so the air is
+  // never idle and only the 1 s rule collects ended records.
+  constexpr SimTime kSpacing = 500;
+  constexpr SimTime kRun = 5 * kTicksPerSec;
+  const Channel ch{4, ChannelWidth::kW5};
+  FakeRadio a(1, {0, 0}, ch), b(2, {10, 0}, ch);
+  medium_.Register(&a);
+  medium_.Register(&b);
+  std::size_t peak = 0;
+  for (SimTime t = 0; t < kRun; t += kSpacing) {
+    FakeRadio* tx = (t / kSpacing) % 2 == 0 ? &a : &b;
+    sim_.Schedule(t, [this, tx, ch, &peak] {
+      medium_.Transmit(tx, ch, DataFrame(tx->NodeId(), -1), 16.0, 600,
+                       nullptr);
+      peak = std::max(peak, medium_.RetainedRecords());
+    });
+  }
+  sim_.RunUntilIdle();
+  EXPECT_EQ(medium_.NumTransmissions(),
+            static_cast<std::uint64_t>(kRun / kSpacing));
+  // The last second of records (plus those on the air) and no more.
+  const auto per_second = static_cast<std::size_t>(kTicksPerSec / kSpacing);
+  EXPECT_GE(peak, per_second);
+  EXPECT_LE(peak, per_second + 3);
+  // Once nothing is on the air, every record is dead.
+  EXPECT_EQ(medium_.RetainedRecords(), 0u);
 }
 
 // ------------------------------------------------- per-channel fast path ---
