@@ -37,6 +37,9 @@ ScenarioConfig LoadScenario(const ConfigFile& config) {
 
   // Network.
   scenario.num_clients = static_cast<int>(config.GetInt("network.clients", 2));
+  if (scenario.num_clients < 0) {
+    throw std::runtime_error("network.clients must be >= 0");
+  }
   scenario.client_map_flip_p = config.GetDouble("network.flip_p", 0.0);
   const int static_width =
       static_cast<int>(config.GetInt("network.static_width", 0));
@@ -63,6 +66,9 @@ ScenarioConfig LoadScenario(const ConfigFile& config) {
   const auto free = scenario.base_map.FreeIndices();
   if (pairs > 0 && free.empty()) {
     throw std::runtime_error("background pairs requested but no free channels");
+  }
+  if (pairs > 0 && ipd <= 0) {
+    throw std::runtime_error("background.ipd_ms must be positive");
   }
   for (int i = 0; i < pairs; ++i) {
     BackgroundSpec spec;
@@ -211,10 +217,6 @@ ScenarioConfig LoadScenario(const ConfigFile& config) {
   return scenario;
 }
 
-ScenarioConfig LoadScenarioFile(const std::string& path) {
-  return LoadScenario(ConfigFile::Load(path));
-}
-
 bool IsCityScenario(const ConfigFile& config) {
   // Any [city] key marks the file; city.aps alone is enough to ask for
   // the default city.  Has() does not consume, so a false answer leaves
@@ -280,10 +282,6 @@ CityScenario LoadCityScenario(const ConfigFile& config) {
   scenario.engine.trace = config.GetBool("shards.trace", false);
   scenario.engine.audit = config.GetBool("shards.audit", false);
   return scenario;
-}
-
-std::vector<std::string> UnknownScenarioKeys(const ConfigFile& config) {
-  return config.UnconsumedKeys();
 }
 
 }  // namespace whitefi::bench

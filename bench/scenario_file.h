@@ -61,11 +61,4 @@ struct CityScenario {
 /// std::invalid_argument on out-of-range values.
 CityScenario LoadCityScenario(const ConfigFile& config);
 
-/// Convenience: parse a file then load.
-ScenarioConfig LoadScenarioFile(const std::string& path);
-
-/// Keys in `config` that LoadScenario did not consume — typos and stale
-/// options.  Call after LoadScenario on the same ConfigFile instance.
-std::vector<std::string> UnknownScenarioKeys(const ConfigFile& config);
-
 }  // namespace whitefi::bench

@@ -1,53 +1,70 @@
-// scenario_cli — a small research tool: run one WhiteFi scenario from the
-// command line and print what happened.
+// scenario_cli — a small research tool: run one WhiteFi scenario and print
+// what happened.
+//
+// Every run is a scenario description (the QualNet-style files of
+// examples/configs/; see bench/scenario_file.h): the --config FILE, or an
+// empty one.  Each scenario flag sets the key it names, overriding the
+// file, before the description loads — so map, background and city draws
+// follow --seed:
+//
+//   --seed N        seed                 --static W      network.static_width
+//   --seconds S     seconds              --background N  background.pairs
+//   --map NAME      map.name             --ipd MS        background.ipd_ms
+//   --clients N     network.clients      --mic TV        mic.tv_channel
+//                                        --mic-at S      mic.on_s
+//
+// A description with [city] keys runs on the sharded engine; any other is
+// the standard cell of bench::RunScenario.
 //
 // Usage:
-//   scenario_cli [--seed N] [--clients N] [--background N] [--ipd MS]
-//                [--mic TVCHANNEL] [--mic-at SECONDS] [--static W]
-//                [--map campus|building5|rural|urban|suburban]
-//                [--seconds S] [--verbose]
-//                [--metrics] [--metrics-csv FILE] [--metrics-json FILE]
-//                [--trace-json FILE] [--trace-jsonl FILE] [--profile]
-//   scenario_cli --config FILE.conf   (QualNet-style scenario file; see
-//                                      examples/configs/)
-//   scenario_cli --config CITY.conf --shards N
-//                                     (city-scale [city] scenario on the
-//                                      sharded engine; N worker threads.
-//                                      Output is byte-identical for every
-//                                      N — the count is an execution knob,
-//                                      never part of the science)
-//   scenario_cli --config FILE.conf --audit [--audit-budget-ms M]
-//                                     (run under the invariant auditor)
-//   scenario_cli --replay BUNDLE      (re-run a fuzz repro bundle and check
-//                                      the violation reproduces exactly)
-//   scenario_cli --replay BUNDLE --minimize OUT
-//                                     (shrink the bundle first, write the
-//                                      minimized bundle to OUT, replay that)
+//   scenario_cli [--config FILE] [scenario flags] [--strict] [--audit]
+//                [--audit-budget-ms M] [--verbose] [--detector KERNEL]
+//                [output flags]
+//     --strict            unknown keys in the file are errors, not warnings
+//     --audit             run under the invariant auditor
+//     --audit-budget-ms M incumbent-safety budget override
+//   scenario_cli --config CITY.conf [--shards N] ...
+//                                     (N worker threads; output is
+//                                      byte-identical for every N — the
+//                                      count is an execution knob, never
+//                                      part of the science)
+//   scenario_cli --replay BUNDLE [--minimize OUT]
+//                                     (re-run a fuzz repro bundle and check
+//                                      the violation reproduces exactly;
+//                                      --minimize shrinks it first and
+//                                      writes the result to OUT)
 //
-// Exit codes: 0 success (for --replay: the violation reproduced exactly;
-// for --audit: no invariant violated), 1 runtime failure / violation found
-// / replay divergence, 2 configuration error (bad flags, malformed or
-// unknown-key scenario file under --strict).  Scripts rely on the 1-vs-2
-// distinction to tell a broken scenario file from a simulation that failed.
-//
-// Observability flags (work in both modes):
+// Output flags (single-cell runs only):
 //   --metrics           print the metrics snapshot (counters + histograms)
 //   --metrics-csv FILE  write the snapshot as CSV
 //   --metrics-json FILE write the snapshot as JSON
+//   --trace             print the event trace after the run, one line per
+//                       record; without --trace-only it records only
+//                       channel_switch, chirp, incumbent_on and
+//                       incumbent_off, in every trace output
 //   --trace-json FILE   write a Chrome trace-event file (chrome://tracing)
 //   --trace-jsonl FILE  write raw structured events, one JSON per line
 //   --trace-only K,K    record only the named event kinds (e.g.
-//                       span_begin,span_end,state_enter); unknown names
-//                       are a configuration error (exit 2)
+//                       span_begin,span_end,state_enter)
 //   --timeline-csv FILE write per-node protocol-state intervals as CSV
 //   --profile           print wall-clock cost per simulation phase
 //
+// Exit codes: 0 success (for --replay: the violation reproduced exactly;
+// for --audit: no invariant violated), 1 runtime failure / violation found
+// / replay divergence / a scenario that cannot be built (e.g. an unknown
+// map.name), 2 configuration error: bad flags, a malformed file, an
+// unknown key under --strict, or a flag the run cannot honour (a scenario
+// flag whose key the loader never reads, an output flag on a city or a
+// replay, --shards without a city, --minimize without --replay).  Scripts
+// rely on the 1-vs-2 distinction to tell a broken scenario file from a
+// simulation that failed.
+//
 // Examples:
-//   scenario_cli --map building5 --clients 3 --mic 28 --mic-at 5
+//   scenario_cli --map building5 --clients 3 --mic 28 --mic-at 5 --trace
 //   scenario_cli --map campus --background 12 --ipd 30 --static 20
 //   scenario_cli --config ../examples/configs/busy_campus.conf --metrics
-//   scenario_cli --config ../examples/configs/mic_outage.conf --profile
-#include <cstring>
+//   scenario_cli --config ../examples/configs/mic_outage.conf --seed 9
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <iterator>
@@ -62,28 +79,75 @@ using namespace whitefi;
 
 namespace {
 
+/// What a run is.  Each flag works in a set of modes.
+enum Mode : unsigned { kCell = 1, kCity = 2, kReplay = 4 };
+
+/// A command-line flag: the run modes that honour it, the value it takes
+/// (numbers are checked at parse time, so a bad one names the flag) and,
+/// for a scenario flag, the description key it sets.
+struct Flag {
+  const char* name;
+  unsigned modes;
+  enum { kNone, kInt, kReal, kText } type;
+  const char* key;
+};
+
+constexpr Flag kFlags[] = {
+    {"--seed", kCell | kCity, Flag::kInt, "seed"},
+    {"--seconds", kCell | kCity, Flag::kReal, "seconds"},
+    {"--map", kCell | kCity, Flag::kText, "map.name"},
+    {"--clients", kCell | kCity, Flag::kInt, "network.clients"},
+    {"--static", kCell | kCity, Flag::kInt, "network.static_width"},
+    {"--background", kCell | kCity, Flag::kInt, "background.pairs"},
+    {"--ipd", kCell | kCity, Flag::kInt, "background.ipd_ms"},
+    {"--mic", kCell | kCity, Flag::kInt, "mic.tv_channel"},
+    {"--mic-at", kCell | kCity, Flag::kReal, "mic.on_s"},
+    {"--config", kCell | kCity, Flag::kText, nullptr},
+    {"--strict", kCell | kCity, Flag::kNone, nullptr},
+    {"--audit", kCell | kCity, Flag::kNone, nullptr},
+    {"--audit-budget-ms", kCell | kCity, Flag::kInt, nullptr},
+    {"--shards", kCity, Flag::kInt, nullptr},
+    {"--replay", kReplay, Flag::kText, nullptr},
+    {"--minimize", kReplay, Flag::kText, nullptr},
+    {"--verbose", kCell | kCity | kReplay, Flag::kNone, nullptr},
+    {"--detector", kCell | kCity | kReplay, Flag::kText, nullptr},
+    {"--metrics", kCell, Flag::kNone, nullptr},
+    {"--metrics-csv", kCell, Flag::kText, nullptr},
+    {"--metrics-json", kCell, Flag::kText, nullptr},
+    {"--trace", kCell, Flag::kNone, nullptr},
+    {"--trace-json", kCell, Flag::kText, nullptr},
+    {"--trace-jsonl", kCell, Flag::kText, nullptr},
+    {"--trace-only", kCell, Flag::kText, nullptr},
+    {"--timeline-csv", kCell, Flag::kText, nullptr},
+    {"--profile", kCell, Flag::kNone, nullptr},
+};
+
+const Flag* FindFlag(const std::string& name) {
+  for (const Flag& flag : kFlags) {
+    if (name == flag.name) return &flag;
+  }
+  return nullptr;
+}
+
+/// A flag as given on the command line.
+struct GivenFlag {
+  const Flag* flag;
+  std::string value;  ///< Empty for a flag that takes none.
+};
+
 struct Options {
-  std::uint64_t seed = 1;
-  int clients = 2;
-  int background = 0;
-  int ipd_ms = 30;
-  int mic_tv = 0;       // 0 = no mic.
-  double mic_at = 5.0;  // Seconds.
-  int static_width = 0; // 0 = adaptive.
-  std::string map_name = "campus";
-  double seconds = 15.0;
+  std::vector<GivenFlag> given;  ///< Every flag, in command-line order.
   bool verbose = false;
-  bool trace = false;  ///< Print every control frame as it airs.
-  std::string config_file;  ///< Non-empty: config-file mode.
-  /// Config-file mode: unknown keys (typos) reject the file instead of
-  /// only printing a warning.
+  std::string config_file;  ///< Empty: start from an empty description.
+  /// Unknown keys (typos) reject the file instead of only printing a
+  /// warning.
   bool strict = false;
-  /// Config-file mode: run under the invariant auditor.
+  /// Run under the invariant auditor.
   bool audit = false;
   /// Incumbent-safety budget override in ms (0 = auditor default).
   long long audit_budget_ms = 0;
-  /// City-scale config-file mode: worker threads for the shard engine.
-  /// Purely an execution knob — results are byte-identical for any value.
+  /// City runs: worker threads for the shard engine.  Purely an execution
+  /// knob — results are byte-identical for any value.
   int shards = 1;
   std::string replay_bundle;  ///< Non-empty: replay mode.
   std::string minimize_out;   ///< Replay mode: minimize first, write here.
@@ -92,6 +156,7 @@ struct Options {
   bool metrics = false;
   std::string metrics_csv;
   std::string metrics_json;
+  bool trace = false;       ///< Print the event trace after the run.
   std::string trace_json;   ///< Chrome trace-event format.
   std::string trace_jsonl;  ///< Raw JSONL records.
   /// Kind filter for the event trace (--trace-only a,b,c); empty = all.
@@ -111,6 +176,12 @@ struct ObsSession {
   static EventTraceOptions TraceOptions(const Options& opts) {
     EventTraceOptions trace_options;
     trace_options.only = opts.trace_only;
+    if (opts.trace && trace_options.only.empty()) {
+      // The recovery story without the per-frame chatter.
+      trace_options.only = {
+          TraceEventKind::kChannelSwitch, TraceEventKind::kChirp,
+          TraceEventKind::kIncumbentOn, TraceEventKind::kIncumbentOff};
+    }
     return trace_options;
   }
 
@@ -132,19 +203,21 @@ struct ObsSession {
     registry.GetCounter("whitefi.ap.reverts");
   }
 
+  bool Tracing() const {
+    return options.trace || !options.trace_json.empty() ||
+           !options.trace_jsonl.empty();
+  }
+
   bool Wanted() const {
     return options.metrics || !options.metrics_csv.empty() ||
-           !options.metrics_json.empty() || !options.trace_json.empty() ||
-           !options.trace_jsonl.empty() || !options.timeline_csv.empty() ||
-           options.profile;
+           !options.metrics_json.empty() || Tracing() ||
+           !options.timeline_csv.empty() || options.profile;
   }
 
   Observability Sinks() {
     Observability obs;
     obs.metrics = &registry;
-    if (!options.trace_json.empty() || !options.trace_jsonl.empty()) {
-      obs.trace = &events;
-    }
+    if (Tracing()) obs.trace = &events;
     if (!options.timeline_csv.empty()) obs.timeline = &timeline;
     if (options.profile) obs.profiler = &profiler;
     return obs;
@@ -160,6 +233,15 @@ struct ObsSession {
   }
 
   void WriteOutputs(double sim_seconds) {
+    if (options.trace) {
+      std::cout << "\ntrace:\n";
+      for (const TraceEvent& e : events.events()) {
+        std::cout << "t=" << FormatDouble(ToSeconds(e.at_us), 6) << "  "
+                  << (e.node < 0 ? "world" : "node " + std::to_string(e.node))
+                  << "  " << TraceEventKindName(e.kind) << "  " << e.detail
+                  << "\n";
+      }
+    }
     if (options.metrics) {
       std::cout << "\nmetrics:\n" << registry.Snapshot().ToText();
     }
@@ -209,97 +291,61 @@ struct ObsSession {
   }
 };
 
-SpectrumMap ResolveMap(const std::string& name, Rng& rng) {
-  if (name == "campus") return CampusSimulationMap();
-  if (name == "building5") return Building5Map();
-  if (name == "rural") return GenerateLocaleMap(LocaleClass::kRural, rng);
-  if (name == "urban") return GenerateLocaleMap(LocaleClass::kUrban, rng);
-  if (name == "suburban") {
-    return GenerateLocaleMap(LocaleClass::kSuburban, rng);
-  }
-  throw std::invalid_argument("unknown map: " + name);
-}
-
 bool ParseOptions(int argc, char** argv, Options& options) {
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
-    auto next = [&]() -> const char* {
+    if (flag == "--help" || flag == "-h") return false;
+    const Flag* spec = FindFlag(flag);
+    if (spec == nullptr) throw std::invalid_argument("unknown flag: " + flag);
+    std::string value;
+    if (spec->type != Flag::kNone) {
       if (i + 1 >= argc) throw std::invalid_argument(flag + " needs a value");
-      return argv[++i];
-    };
+      value = argv[++i];
+    }
+    options.given.push_back({spec, value});
     // stoll/stod raise bare "stoll"-style messages, and out-of-range
     // values raise std::out_of_range, which the top-level handler would
     // misfile as a runtime error (exit 1).  Rewrap both so every bad flag
     // value is a configuration error naming the flag, and reject trailing
     // garbage ("3x") that the bare conversions silently accept.
-    auto as_ll = [&]() -> long long {
-      const std::string value = next();
-      try {
-        std::size_t used = 0;
-        const long long parsed = std::stoll(value, &used);
-        if (used != value.size()) throw std::invalid_argument(value);
-        return parsed;
-      } catch (const std::exception&) {
-        throw std::invalid_argument(flag + ": expected a number, got '" +
-                                    value + "'");
-      }
-    };
-    auto as_d = [&]() -> double {
-      const std::string value = next();
-      try {
-        std::size_t used = 0;
-        const double parsed = std::stod(value, &used);
-        if (used != value.size()) throw std::invalid_argument(value);
-        return parsed;
-      } catch (const std::exception&) {
-        throw std::invalid_argument(flag + ": expected a number, got '" +
-                                    value + "'");
-      }
-    };
-    if (flag == "--seed") {
-      options.seed = static_cast<std::uint64_t>(as_ll());
+    long long number = 0;
+    try {
+      std::size_t used = value.size();
+      if (spec->type == Flag::kInt) number = std::stoll(value, &used);
+      if (spec->type == Flag::kReal) std::stod(value, &used);
+      if (used != value.size()) throw std::invalid_argument(value);
+    } catch (const std::exception&) {
+      throw std::invalid_argument(flag + ": expected a number, got '" +
+                                  value + "'");
     }
-    else if (flag == "--clients") options.clients = static_cast<int>(as_ll());
-    else if (flag == "--background") {
-      options.background = static_cast<int>(as_ll());
-    }
-    else if (flag == "--ipd") options.ipd_ms = static_cast<int>(as_ll());
-    else if (flag == "--mic") options.mic_tv = static_cast<int>(as_ll());
-    else if (flag == "--mic-at") options.mic_at = as_d();
-    else if (flag == "--static") {
-      options.static_width = static_cast<int>(as_ll());
-    }
-    else if (flag == "--map") options.map_name = next();
-    else if (flag == "--seconds") options.seconds = as_d();
-    else if (flag == "--verbose") options.verbose = true;
+    if (spec->key != nullptr) continue;  // Set on the description in Run.
+    if (flag == "--verbose") options.verbose = true;
     else if (flag == "--trace") options.trace = true;
-    else if (flag == "--config") options.config_file = next();
+    else if (flag == "--config") options.config_file = value;
     else if (flag == "--strict") options.strict = true;
     else if (flag == "--audit") options.audit = true;
-    else if (flag == "--audit-budget-ms") options.audit_budget_ms = as_ll();
+    else if (flag == "--audit-budget-ms") options.audit_budget_ms = number;
     else if (flag == "--shards") {
-      const long long shards = as_ll();
-      if (shards < 1) {
+      if (number < 1) {
         throw std::invalid_argument("--shards: expected a count >= 1, got " +
-                                    std::to_string(shards));
+                                    std::to_string(number));
       }
-      options.shards = static_cast<int>(shards);
+      options.shards = static_cast<int>(number);
     }
-    else if (flag == "--replay") options.replay_bundle = next();
-    else if (flag == "--minimize") options.minimize_out = next();
+    else if (flag == "--replay") options.replay_bundle = value;
+    else if (flag == "--minimize") options.minimize_out = value;
     else if (flag == "--metrics") options.metrics = true;
-    else if (flag == "--metrics-csv") options.metrics_csv = next();
-    else if (flag == "--metrics-json") options.metrics_json = next();
-    else if (flag == "--trace-json") options.trace_json = next();
-    else if (flag == "--trace-jsonl") options.trace_jsonl = next();
+    else if (flag == "--metrics-csv") options.metrics_csv = value;
+    else if (flag == "--metrics-json") options.metrics_json = value;
+    else if (flag == "--trace-json") options.trace_json = value;
+    else if (flag == "--trace-jsonl") options.trace_jsonl = value;
     else if (flag == "--trace-only") {
-      const std::string list = next();
       std::size_t start = 0;
-      while (start <= list.size()) {
-        const std::size_t comma = list.find(',', start);
+      while (start <= value.size()) {
+        const std::size_t comma = value.find(',', start);
         const std::string name =
-            list.substr(start, comma == std::string::npos ? std::string::npos
-                                                          : comma - start);
+            value.substr(start, comma == std::string::npos ? std::string::npos
+                                                           : comma - start);
         if (!name.empty()) {
           const auto kind = ParseTraceEventKind(name);
           if (!kind) {
@@ -315,12 +361,11 @@ bool ParseOptions(int argc, char** argv, Options& options) {
         throw std::invalid_argument("--trace-only: empty kind list");
       }
     }
-    else if (flag == "--timeline-csv") options.timeline_csv = next();
+    else if (flag == "--timeline-csv") options.timeline_csv = value;
     else if (flag == "--detector") {
       // SIFT kernel selection for every detector the scenario constructs
       // ("block" = automatic dispatch).  Forcing simd on a host without
       // AVX2 throws here, i.e. exits 2 like any other bad flag value.
-      const std::string value = next();
       if (value == "block") SetSiftKernelOverride(SiftKernelChoice::kAuto);
       else if (value == "simd") SetSiftKernelOverride(SiftKernelChoice::kSimd);
       else if (value == "scalar") {
@@ -339,16 +384,35 @@ bool ParseOptions(int argc, char** argv, Options& options) {
       (void)probe;
     }
     else if (flag == "--profile") options.profile = true;
-    else if (flag == "--help" || flag == "-h") return false;
-    else throw std::invalid_argument("unknown flag: " + flag);
   }
   return true;
 }
 
-/// Shared unknown-key policy for both config-file paths: typos warn by
+/// Rejects, naming it, the first flag given that `mode` cannot honour.
+void CheckFlags(const Options& options, Mode mode) {
+  for (const GivenFlag& given : options.given) {
+    if ((given.flag->modes & mode) != 0) continue;
+    const char* what = mode == kCell   ? "a single-cell scenario"
+                       : mode == kCity ? "a [city] scenario"
+                                       : "--replay";
+    throw std::invalid_argument(std::string(given.flag->name) +
+                                " cannot be used with " + what);
+  }
+}
+
+/// A scenario flag whose key the loader never read is a configuration
+/// error naming the flag.  The file's own unread keys (typos) warn by
 /// default and reject the file under --strict.
-void ReportUnknownKeys(const Options& options, const ConfigFile& config) {
-  const std::vector<std::string> unknown = bench::UnknownScenarioKeys(config);
+void ReportUnusedKeys(const Options& options, const ConfigFile& config) {
+  const std::vector<std::string> unknown = config.UnconsumedKeys();
+  for (const GivenFlag& given : options.given) {
+    const char* key = given.flag->key;
+    if (key != nullptr &&
+        std::find(unknown.begin(), unknown.end(), key) != unknown.end()) {
+      throw std::invalid_argument(std::string(given.flag->name) +
+                                  ": this scenario never reads " + key);
+    }
+  }
   if (unknown.empty()) return;
   if (options.strict) {
     throw ConfigError("unknown key '" + unknown.front() + "'",
@@ -361,10 +425,11 @@ void ReportUnknownKeys(const Options& options, const ConfigFile& config) {
   }
 }
 
-/// City-scale config-file mode ([city] section): run the sharded
-/// federation and print its deterministic summary.  The summary is
-/// byte-identical for every --shards value — CI diffs it across counts.
-int RunCityFromConfigFile(const Options& options, const ConfigFile& config) {
+/// City-scale run ([city] keys): run the sharded federation and print its
+/// deterministic summary.  The summary is byte-identical for every
+/// --shards value — CI diffs it across counts.
+int RunCity(const Options& options, const ConfigFile& config) {
+  CheckFlags(options, kCity);
   bench::CityScenario scenario = bench::LoadCityScenario(config);
   scenario.engine.shards = options.shards;
   if (options.audit) scenario.engine.audit = true;
@@ -375,7 +440,7 @@ int RunCityFromConfigFile(const Options& options, const ConfigFile& config) {
     scenario.engine.audit_config.safety_budget =
         options.audit_budget_ms * kTicksPerMs;
   }
-  ReportUnknownKeys(options, config);
+  ReportUnusedKeys(options, config);
   shard::ShardEngine engine(scenario.city, scenario.engine);
   // Shard count goes to stderr: stdout must be byte-identical across
   // --shards values so scripts can diff it directly.
@@ -397,12 +462,9 @@ int RunCityFromConfigFile(const Options& options, const ConfigFile& config) {
   return 0;
 }
 
-int RunFromConfigFile(const Options& options) {
-  if (options.verbose) SetLogLevel(LogLevel::kInfo);
-  const ConfigFile config = ConfigFile::Load(options.config_file);
-  if (bench::IsCityScenario(config)) {
-    return RunCityFromConfigFile(options, config);
-  }
+/// Single-cell run: the standard cell of bench::RunScenario.
+int RunCell(const Options& options, const ConfigFile& config) {
+  CheckFlags(options, kCell);
   bench::ScenarioConfig scenario = bench::LoadScenario(config);
   // The auditor knobs are part of the scenario vocabulary whether or not
   // --audit is on (a repro bundle run under plain --config must not warn
@@ -413,12 +475,15 @@ int RunFromConfigFile(const Options& options) {
   }
   (void)bench::BundleExpectation(config);  // expect.* is vocabulary too.
   // Surface keys no loader consumed: silently-ignored typos waste whole
-  // experiment runs.  A warning by default; fatal under --strict.
-  ReportUnknownKeys(options, config);
-  std::cout << "scenario " << options.config_file << ": map "
-            << scenario.base_map.ToString() << ", " << scenario.num_clients
-            << " clients, " << scenario.background.size()
-            << " background pairs, " << scenario.mics.size() << " mic(s)\n";
+  // experiment runs.
+  ReportUnusedKeys(options, config);
+  std::cout << "scenario "
+            << (options.config_file.empty() ? "from flags"
+                                             : options.config_file)
+            << ": map " << scenario.base_map.ToString() << ", "
+            << scenario.num_clients << " clients, "
+            << scenario.background.size() << " background pairs, "
+            << scenario.mics.size() << " mic(s)\n";
   ObsSession obs(options);
   if (obs.Wanted()) scenario.obs = obs.Sinks();
   InvariantAuditor auditor(audit_config);
@@ -459,11 +524,25 @@ int RunFromConfigFile(const Options& options) {
   return 0;
 }
 
+/// Builds the description — the file or an empty one, then the scenario
+/// flags' keys — and runs it as a city or a single cell.
+int Run(const Options& options) {
+  ConfigFile config;
+  if (!options.config_file.empty()) {
+    config = ConfigFile::Load(options.config_file);
+  }
+  for (const GivenFlag& given : options.given) {
+    if (given.flag->key != nullptr) config.Set(given.flag->key, given.value);
+  }
+  return bench::IsCityScenario(config) ? RunCity(options, config)
+                                       : RunCell(options, config);
+}
+
 /// --replay: re-run a repro bundle and verify the recorded violation
 /// reproduces field-for-field.  With --minimize, shrink the bundle first
 /// and replay the minimized version.
 int RunReplay(const Options& options) {
-  if (options.verbose) SetLogLevel(LogLevel::kInfo);
+  CheckFlags(options, kReplay);
   std::ifstream in(options.replay_bundle);
   if (!in.good()) {
     throw ConfigError("cannot read bundle", options.replay_bundle, 0);
@@ -496,23 +575,26 @@ int main(int argc, char** argv) {
   Options options;
   try {
     if (!ParseOptions(argc, argv, options)) {
-      std::cout << "usage: scenario_cli [--seed N] [--clients N] "
-                   "[--background N] [--ipd MS] [--mic TV] [--mic-at S] "
-                   "[--static 5|10|20] [--map NAME] [--seconds S] "
-                   "[--verbose] [--metrics] [--metrics-csv FILE] "
-                   "[--metrics-json FILE] [--trace-json FILE] "
-                   "[--trace-jsonl FILE] [--trace-only K,K,...] "
-                   "[--timeline-csv FILE] [--profile] "
-                   "[--detector block|simd|scalar|avx2|avx512] [--config FILE] "
-                   "[--strict] [--audit] [--audit-budget-ms M] "
-                   "[--shards N] [--replay BUNDLE [--minimize OUT]]\n"
+      std::cout << "usage: scenario_cli [--config FILE] [--seed N] "
+                   "[--seconds S] [--map NAME] [--clients N] "
+                   "[--static 5|10|20] [--background N] [--ipd MS] "
+                   "[--mic TV] [--mic-at S] [--strict] [--audit] "
+                   "[--audit-budget-ms M] [--shards N] [--verbose] "
+                   "[--detector block|simd|scalar|avx2|avx512] [--metrics] "
+                   "[--metrics-csv FILE] [--metrics-json FILE] [--trace] "
+                   "[--trace-json FILE] [--trace-jsonl FILE] "
+                   "[--trace-only K,K,...] [--timeline-csv FILE] "
+                   "[--profile]\n"
+                   "       scenario_cli --replay BUNDLE [--minimize OUT]\n"
+                   "scenario flags set the description key they name; a "
+                   "flag the run cannot honour exits 2\n"
                    "exit codes: 0 success / reproduced / invariants held, "
                    "1 runtime failure / violation / divergence, "
                    "2 configuration error\n";
       return 0;
     }
-    if (!options.replay_bundle.empty()) return RunReplay(options);
-    if (!options.config_file.empty()) return RunFromConfigFile(options);
+    if (options.verbose) SetLogLevel(LogLevel::kInfo);
+    return options.replay_bundle.empty() ? Run(options) : RunReplay(options);
   } catch (const ConfigError& e) {
     // Carries file and line, e.g. "scenario.conf line 12: unknown key".
     std::cerr << "config error: " << e.what() << "\n";
@@ -525,125 +607,4 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << e.what() << "\n";
     return kExitRuntimeError;
   }
-  if (options.verbose) SetLogLevel(LogLevel::kInfo);
-
-  Rng map_rng(DeriveSeed(options.seed, "cli.map"));
-  const SpectrumMap map = ResolveMap(options.map_name, map_rng);
-  std::cout << "map " << options.map_name << ": " << map.ToString() << " ("
-            << map.NumFree() << " free)\n";
-
-  // Boot assignment.
-  AssignmentInputs boot;
-  boot.ap_map = map;
-  boot.ap_observation = EmptyBandObservation();
-  for (UhfIndex c = 0; c < kNumUhfChannels; ++c) {
-    boot.ap_observation[static_cast<std::size_t>(c)].incumbent =
-        map.Occupied(c);
-  }
-  SpectrumAssigner assigner;
-  auto initial = assigner.SelectInitial(boot).channel;
-  if (options.static_width != 0) {
-    initial.reset();
-    for (const Channel& c : map.UsableChannels()) {
-      if (static_cast<int>(WidthMHz(c.width)) == options.static_width) {
-        initial = c;
-        break;
-      }
-    }
-  }
-  if (!initial.has_value()) {
-    std::cerr << "no usable channel for this configuration\n";
-    return 1;
-  }
-  const Channel backup = assigner.SelectBackup(boot, *initial).value_or(*initial);
-  std::cout << "start: main " << initial->ToString() << ", backup "
-            << backup.ToString()
-            << (options.static_width != 0 ? " (static)" : " (adaptive)")
-            << "\n";
-
-  ObsSession obs(options);
-  WorldConfig world_config;
-  world_config.seed = options.seed;
-  if (obs.Wanted()) world_config.obs = obs.Sinks();
-  World world(world_config);
-  Rng rng = world.NewRng();
-
-  DeviceConfig node;
-  node.ssid = 1;
-  node.tv_map = map;
-  ApParams ap_params;
-  ap_params.adaptive = options.static_width == 0;
-  ApNode& ap = world.Create<ApNode>(node, ap_params, *initial, backup);
-  std::vector<int> ids;
-  std::vector<ClientNode*> clients;
-  for (int i = 0; i < options.clients; ++i) {
-    node.position = {rng.Uniform(-250.0, 250.0), rng.Uniform(-250.0, 250.0)};
-    clients.push_back(&world.Create<ClientNode>(node, ClientParams{}, *initial,
-                                                backup, ap.NodeId()));
-    ids.push_back(clients.back()->NodeId());
-  }
-  SaturatedSource downlink(ap, ids, 1000);
-
-  std::vector<std::unique_ptr<CbrSource>> background;
-  for (int i = 0; i < options.background; ++i) {
-    DeviceConfig bg;
-    bg.ssid = 100 + i;
-    bg.is_ap = true;
-    bg.tv_map = map;
-    bg.initial_channel = Channel{rng.Pick(map.FreeIndices()), ChannelWidth::kW5};
-    const double r = rng.Uniform(150.0, 500.0);
-    const double theta = rng.Uniform(0.0, 2.0 * M_PI);
-    bg.position = {r * std::cos(theta), r * std::sin(theta)};
-    Device& tx = world.Create<Device>(bg);
-    bg.is_ap = false;
-    bg.position.x += 25.0;
-    Device& rx = world.Create<Device>(bg);
-    background.push_back(std::make_unique<CbrSource>(
-        tx, rx.NodeId(), 1000, options.ipd_ms * kTicksPerMs));
-    background.back()->Start();
-  }
-
-  if (options.mic_tv != 0) {
-    world.AddMic(MicActivation{IndexOfTvChannel(options.mic_tv),
-                               options.mic_at * kSecond, 3600.0 * kSecond});
-    std::cout << "mic on TV ch" << options.mic_tv << " at t="
-              << FormatDouble(options.mic_at, 1) << " s\n";
-  }
-
-  // Optional live control-plane trace (beacons excluded: too chatty).
-  std::unique_ptr<Tracer> tracer;
-  if (options.trace) {
-    TracerOptions trace_options;
-    trace_options.only = {FrameType::kChannelSwitch, FrameType::kChirp,
-                          FrameType::kReport};
-    trace_options.live = &std::cout;
-    tracer = std::make_unique<Tracer>(world, trace_options);
-  }
-
-  world.StartAll();
-  downlink.Start();
-  world.RunFor(options.seconds);
-
-  std::cout << "\nafter " << FormatDouble(options.seconds, 1) << " s:\n";
-  std::cout << "  AP on " << ap.main_channel().ToString() << " (backup "
-            << ap.backup_channel().ToString() << "), switches "
-            << ap.num_switches() << "\n";
-  int connected = 0;
-  double worst_outage = 0.0;
-  for (const ClientNode* c : clients) {
-    connected += c->connected() ? 1 : 0;
-    for (SimTime o : c->outages()) {
-      worst_outage = std::max(worst_outage, ToSeconds(o));
-    }
-  }
-  std::cout << "  clients connected: " << connected << "/" << options.clients;
-  if (worst_outage > 0.0) {
-    std::cout << " (worst outage " << FormatDouble(worst_outage, 2) << " s)";
-  }
-  std::cout << "\n  aggregate throughput: "
-            << FormatDouble(
-                   8.0 * world.AppBytesInSsid(1) / options.seconds / 1e6, 2)
-            << " Mbps\n";
-  if (obs.Wanted()) obs.WriteOutputs(options.seconds);
-  return 0;
 }

@@ -22,7 +22,6 @@
 #include "sift/matcher.h"
 #include "sim/scanner.h"
 #include "sim/signal_scanner.h"
-#include "sim/tracer.h"
 #include "sim/traffic.h"
 #include "sim/world.h"
 #include "spectrum/campus.h"

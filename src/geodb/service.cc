@@ -30,12 +30,7 @@ GeoQueryResult GeoDbService::Compute(const GeoPoint& where, double guard_km,
   // Station contours only: venue occupancy travels as the directory below
   // so the client can track activations/deactivations against its own
   // (possibly moved) position.
-  for (const TvStation& station : db_.stations()) {
-    if (GeoDistanceKm(where, station.location) <=
-        ProtectedRadiusKm(station) + guard_km) {
-      result.stations.SetOccupied(station.channel, true);
-    }
-  }
+  result.stations = db_.StationContoursAt(where, guard_km);
   result.conservative = db_.QueryConservativeAt(where, guard_km);
   const auto& venues = db_.venues();
   result.venues.reserve(venues.size());

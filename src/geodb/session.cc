@@ -106,8 +106,8 @@ void GeoDbSession::Success(const GeoPoint& at, const GeoQueryResult& result) {
   data_time_ = result.data_time;
 
   const SimTime now = world_.sim().Now();
-  // Strict staleness boundary (mirrors GeoDbClient::Stale): age exactly at
-  // stale_after is trusted, one tick past it is not.
+  // Strict staleness boundary (see the header): age exactly at stale_after
+  // is trusted, one tick past it is not.
   const SimTime stale_at = ToTicks(data_time_ + params_.stale_after) + 1;
   if (stale_at <= now) {
     // The service itself served data past the horizon: degraded even

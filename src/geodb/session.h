@@ -1,9 +1,8 @@
 // GeoDbSession — a device's resilient connection to the geo-db service.
 //
-// The spectrum-layer GeoDbClient (spectrum/geodb.h) is a passive cache:
-// something else must call Refresh and reason about failures.  This class
-// is that something, grown into a full recovery protocol running on the
-// simulator:
+// The spectrum-layer GeoDatabase (spectrum/geodb.h) only answers queries.
+// This class is the device side of the conversation, a full recovery
+// protocol running on the simulator:
 //
 //   * scheduled refresh with jitter, and a timeout on every query (an
 //     outage swallows requests silently — the timeout is the only signal);
@@ -15,8 +14,8 @@
 //   * a staleness watchdog pinned to the served data_time: data older
 //     than `stale_after` degrades the session even when every refresh
 //     "succeeded" (the service can serve lagging data).  The boundary is
-//     strict, matching GeoDbClient::Stale — age exactly at the horizon is
-//     still trusted; one tick past it is not;
+//     strict, the FCC-style "re-query within T" contract — age exactly at
+//     the horizon is still trusted; one tick past it is not;
 //   * push overlay: venue activation/deactivation notifications update the
 //     locally held venue directory immediately, without a round trip;
 //   * mobility: OnMoved re-queries after drifting `requery_km` from the

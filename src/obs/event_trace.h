@@ -1,8 +1,7 @@
 // EventTrace — typed, structured simulation events.
 //
-// Where sim/tracer.h is a human-readable tcpdump (free-form lines), this
-// is the machine-readable upgrade: every interesting protocol moment is a
-// typed record keyed on simulated time — frame TX/RX/drop, MAC backoff and
+// The simulator's one trace system: every interesting protocol moment is
+// a typed record keyed on simulated time — frame TX/RX/drop, MAC backoff and
 // retry, channel switches, incumbent (mic) appearances, chirps, discovery
 // probes.  Records serialize as JSONL (one JSON object per line, exact
 // round-trip via ReadJsonl) and as the Chrome trace-event format, so a run

@@ -35,23 +35,12 @@ void GeoDatabase::RegisterVenue(const ProtectedVenue& venue) {
 }
 
 SpectrumMap GeoDatabase::QueryAt(const GeoPoint& where, Us t) const {
-  SpectrumMap map;
-  for (const TvStation& station : stations_) {
-    if (GeoDistanceKm(where, station.location) <= ProtectedRadiusKm(station)) {
-      map.SetOccupied(station.channel);
-    }
-  }
-  for (const ProtectedVenue& venue : venues_) {
-    if (venue.ActiveAt(t) &&
-        GeoDistanceKm(where, venue.location) <= venue.radius_km) {
-      map.SetOccupied(venue.channel);
-    }
-  }
-  return map;
+  // Bit-equal to an unguarded scan: R + 0.0 == R.
+  return QueryGuardedAt(where, t, 0.0);
 }
 
-SpectrumMap GeoDatabase::QueryGuardedAt(const GeoPoint& where, Us t,
-                                        double guard_km) const {
+SpectrumMap GeoDatabase::StationContoursAt(const GeoPoint& where,
+                                           double guard_km) const {
   SpectrumMap map;
   for (const TvStation& station : stations_) {
     if (GeoDistanceKm(where, station.location) <=
@@ -59,6 +48,12 @@ SpectrumMap GeoDatabase::QueryGuardedAt(const GeoPoint& where, Us t,
       map.SetOccupied(station.channel);
     }
   }
+  return map;
+}
+
+SpectrumMap GeoDatabase::QueryGuardedAt(const GeoPoint& where, Us t,
+                                        double guard_km) const {
+  SpectrumMap map = StationContoursAt(where, guard_km);
   for (const ProtectedVenue& venue : venues_) {
     if (venue.ActiveAt(t) &&
         GeoDistanceKm(where, venue.location) <= venue.radius_km + guard_km) {
@@ -70,13 +65,7 @@ SpectrumMap GeoDatabase::QueryGuardedAt(const GeoPoint& where, Us t,
 
 SpectrumMap GeoDatabase::QueryConservativeAt(const GeoPoint& where,
                                              double guard_km) const {
-  SpectrumMap map;
-  for (const TvStation& station : stations_) {
-    if (GeoDistanceKm(where, station.location) <=
-        ProtectedRadiusKm(station) + guard_km) {
-      map.SetOccupied(station.channel);
-    }
-  }
+  SpectrumMap map = StationContoursAt(where, guard_km);
   for (const ProtectedVenue& venue : venues_) {
     // Schedules may have changed since the data was fetched; assume the
     // protection is live.
@@ -113,31 +102,6 @@ std::vector<TvStation> GeoDatabase::StationsCovering(
     }
   }
   return covering;
-}
-
-GeoDbClient::GeoDbClient(const GeoDatabase& db, GeoPoint where,
-                         GeoDbClientParams params)
-    : db_(db), where_(where), params_(params) {
-  if (params_.stale_after <= 0.0) {
-    throw std::invalid_argument("geo-db stale_after must be positive");
-  }
-  if (params_.guard_km < 0.0) {
-    throw std::invalid_argument("geo-db guard_km must be non-negative");
-  }
-  Refresh(0.0);
-}
-
-bool GeoDbClient::Refresh(Us now, bool reachable, Us served_time) {
-  if (!reachable) return false;
-  const Us data_time = served_time < 0.0 ? now : served_time;
-  fresh_ = db_.QueryAt(where_, data_time);
-  conservative_ = db_.QueryConservativeAt(where_, params_.guard_km);
-  // The cache's age is that of the data, not of the fetch: a database
-  // serving day-old data leaves the client in the same epistemic state as
-  // a day-old successful fetch.
-  fetched_at_ = data_time;
-  ++refreshes_;
-  return true;
 }
 
 GeoDatabase SynthesizeMetro(const MetroModel& model, Rng& rng) {

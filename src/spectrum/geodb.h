@@ -76,6 +76,10 @@ class GeoDatabase {
   /// `t` (TV contours plus active venue protections).
   SpectrumMap QueryAt(const GeoPoint& where, Us t = 0.0) const;
 
+  /// Channels of the TV stations whose contour, inflated by `guard_km`,
+  /// covers `where` — the station half of every map query below.
+  SpectrumMap StationContoursAt(const GeoPoint& where, double guard_km) const;
+
   /// Movement-tolerant variant of QueryAt: both TV contours and the venues
   /// active at `t` are inflated by `guard_km`.  A mobile device that
   /// re-queries whenever it has moved more than `guard_km` from its last
@@ -113,69 +117,6 @@ class GeoDatabase {
  private:
   std::vector<TvStation> stations_;
   std::vector<ProtectedVenue> venues_;
-};
-
-/// GeoDbClient configuration.
-struct GeoDbClientParams {
-  /// Cached data older than this is considered stale (FCC rules require a
-  /// daily re-check; simulations use shorter horizons).
-  Us stale_after = 24.0 * 3600.0 * kSecond;
-  /// Contour inflation applied by the conservative (degraded-mode) map.
-  double guard_km = 10.0;
-};
-
-/// Device-side view of the geo-location database: caches the most recent
-/// successful query and degrades gracefully when the database becomes
-/// unreachable or serves stale data.
-///
-/// While the cache is current, `Map()` returns the exact query result.
-/// Once the cache outlives `stale_after` — because refreshes failed
-/// (outage) or because the database served old data — `Map()` switches to
-/// the conservative channel set (inflated contours, venues always-on):
-/// with uncertain knowledge the client must avoid more channels, never
-/// fewer.  Fault injection drives the `reachable` / `served_time`
-/// arguments of `Refresh` (see FaultInjector::GeoDbAvailable and
-/// GeoDbServedTime); the class itself has no fault dependency.
-class GeoDbClient {
- public:
-  GeoDbClient(const GeoDatabase& db, GeoPoint where,
-              GeoDbClientParams params = {});
-
-  /// Attempts a refresh at `now`.  `reachable` = false models a database
-  /// outage: the cache is kept and the call returns false.  `served_time`
-  /// is the data timestamp the database serves (pass a value behind `now`
-  /// to model staleness; negative = current).  Returns true on success.
-  bool Refresh(Us now, bool reachable = true, Us served_time = -1.0);
-
-  /// Age of the cached data at `now`.
-  Us Age(Us now) const { return now - fetched_at_; }
-
-  /// True once the cache has outlived `stale_after`.  The boundary is
-  /// strict: data whose age is exactly `stale_after` is still trusted —
-  /// the FCC-style re-check deadline is "re-query within T", so the cache
-  /// is valid through the whole horizon and flips only one tick past it.
-  bool Stale(Us now) const { return Age(now) > params_.stale_after; }
-
-  /// The occupancy map a device must respect at `now`: the cached query
-  /// while fresh, the conservative map once stale (degraded mode).
-  const SpectrumMap& Map(Us now) const {
-    return Stale(now) ? conservative_ : fresh_;
-  }
-
-  const SpectrumMap& FreshMap() const { return fresh_; }
-  const SpectrumMap& ConservativeMap() const { return conservative_; }
-
-  /// Successful refreshes (including the constructor's initial fetch).
-  int RefreshCount() const { return refreshes_; }
-
- private:
-  const GeoDatabase& db_;
-  GeoPoint where_;
-  GeoDbClientParams params_;
-  SpectrumMap fresh_;
-  SpectrumMap conservative_;
-  Us fetched_at_ = 0.0;
-  int refreshes_ = 0;
 };
 
 /// Parameters for synthesizing a metropolitan-area database.

@@ -166,6 +166,10 @@ std::vector<long long> ConfigFile::GetIntList(const std::string& key) const {
   return values;
 }
 
+void ConfigFile::Set(const std::string& key, const std::string& value) {
+  values_[key] = Entry{value, 0};
+}
+
 std::vector<std::string> ConfigFile::Keys() const {
   std::vector<std::string> keys;
   for (const auto& [key, entry] : values_) keys.push_back(key);

@@ -13,8 +13,10 @@
 // Every accessor (Has / Get*) marks its key as consumed; after loading a
 // scenario, `UnconsumedKeys()` lists the keys no reader ever looked at —
 // i.e. typos and stale options — so callers can warn about them (or, under
-// a strict flag, reject the file).  Parse and conversion failures throw
-// `ConfigError`, which carries the source path and line number.
+// a strict flag, reject the file).  `Set` overrides a key before loading
+// (the CLI's scenario flags), and its keys are tracked the same way.
+// Parse and conversion failures throw `ConfigError`, which carries the
+// source path and line number.
 #pragma once
 
 #include <iosfwd>
@@ -82,6 +84,10 @@ class ConfigFile {
 
   /// Comma-separated integers.
   std::vector<long long> GetIntList(const std::string& key) const;
+
+  /// Sets `key` to `value`, replacing any parsed value (line 0: not from
+  /// the source).  The key is not marked consumed.
+  void Set(const std::string& key, const std::string& value);
 
   /// All keys in insertion-independent (sorted) order.
   std::vector<std::string> Keys() const;

@@ -84,6 +84,23 @@ cilents = 3
   EXPECT_EQ(config.LineOf("absent"), 0);
 }
 
+TEST(ConfigFile, SetOverridesAValueAndIsTrackedLikeIt) {
+  auto config = ConfigFile::ParseString("seed = 1\n[network]\nclients = 2\n");
+  config.Set("seed", "9");      // Overrides the file.
+  config.Set("mic.on_s", "3");  // A key the file does not have.
+  EXPECT_EQ(config.Keys().size(), 3u);
+  EXPECT_EQ(config.GetInt("seed"), 9);
+  EXPECT_EQ(config.LineOf("seed"), 0);  // No longer from the source.
+  EXPECT_EQ(config.LineOf("network.clients"), 3);
+  // Set marks nothing consumed: a key no reader looks at stays unread,
+  // whether it came from the file or from Set.
+  EXPECT_EQ(config.UnconsumedKeys(),
+            (std::vector<std::string>{"mic.on_s", "network.clients"}));
+  config.GetDouble("mic.on_s");
+  EXPECT_EQ(config.UnconsumedKeys(),
+            (std::vector<std::string>{"network.clients"}));
+}
+
 TEST(ConfigFile, ErrorsCarrySourceAndLine) {
   // Parse errors: line of the offending statement, empty path for strings.
   try {
@@ -171,6 +188,13 @@ TEST(ScenarioFile, Validation) {
                    "[map]\nname = building5\nextra_occupied = "
                    "26,27,28,29,30\n[network]\nstatic_width = 20\n")),
                std::runtime_error);
+  // Counts and intervals that would crash or stall the run.
+  EXPECT_THROW(bench::LoadScenario(
+                   ConfigFile::ParseString("[network]\nclients = -1\n")),
+               std::runtime_error);
+  EXPECT_THROW(bench::LoadScenario(ConfigFile::ParseString(
+                   "[background]\npairs = 1\nipd_ms = 0\n")),
+               std::runtime_error);
 }
 
 TEST(ScenarioFile, UnknownKeysSurfaceTyposButNotConsumedSections) {
@@ -188,7 +212,7 @@ scanner_outages = 2-4
   bench::LoadScenario(config);
   // The loader consumed every key it understands — including the [client]
   // and [fault] sections — leaving exactly the typo.
-  EXPECT_EQ(bench::UnknownScenarioKeys(config),
+  EXPECT_EQ(config.UnconsumedKeys(),
             (std::vector<std::string>{"client.chrip_jitter"}));
 }
 

@@ -1,14 +1,13 @@
-// Tests for the fault-injection subsystem (src/fault) and the geo-db
-// client's graceful degradation: plan parsing, injector determinism, the
-// Gilbert-Elliott burst channel, windowed faults, churn-storm expansion,
-// and the trace records that make every injection observable.
+// Tests for the fault-injection subsystem (src/fault): plan parsing,
+// injector determinism, the Gilbert-Elliott burst channel, windowed
+// faults, churn-storm expansion, and the trace records that make every
+// injection observable.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "fault/fault.h"
 #include "obs/event_trace.h"
-#include "spectrum/geodb.h"
 #include "util/config.h"
 
 namespace whitefi {
@@ -220,43 +219,6 @@ TEST(FaultInjector, GeoDbOracles) {
   EXPECT_DOUBLE_EQ(injector.GeoDbServedTime(25.0 * kSecond), 15.0 * kSecond);
   // Served time never precedes the epoch.
   EXPECT_DOUBLE_EQ(injector.GeoDbServedTime(5.0 * kSecond), 0.0);
-}
-
-TEST(GeoDbClient, DegradesToConservativeMapWhenStale) {
-  GeoDatabase db;
-  db.RegisterStation(TvStation{"WAAA", 7, {0, 0}, 100.0});  // 60 km contour.
-  // A venue whose protection window is closed at fetch time.
-  db.RegisterVenue(ProtectedVenue{"hall", 12, {65, 0}, 2.0, 100.0 * kSecond,
-                                  200.0 * kSecond});
-  GeoDbClientParams params;
-  params.stale_after = 10.0 * kSecond;
-  params.guard_km = 10.0;
-  // 65 km out: outside the 60 km contour, inside the 70 km guarded one.
-  GeoDbClient client(db, {65, 0}, params);
-  EXPECT_EQ(client.RefreshCount(), 1);
-  EXPECT_FALSE(client.FreshMap().Occupied(7));
-  EXPECT_TRUE(client.ConservativeMap().Occupied(7));
-  EXPECT_TRUE(client.ConservativeMap().Occupied(12));  // Venue always-on.
-
-  // Fresh cache serves the exact query; a stale one must widen.
-  EXPECT_FALSE(client.Stale(5.0 * kSecond));
-  EXPECT_FALSE(client.Map(5.0 * kSecond).Occupied(7));
-  EXPECT_TRUE(client.Stale(11.0 * kSecond));
-  EXPECT_TRUE(client.Map(11.0 * kSecond).Occupied(7));
-
-  // An unreachable database keeps the cache: still degraded.
-  EXPECT_FALSE(client.Refresh(12.0 * kSecond, /*reachable=*/false));
-  EXPECT_TRUE(client.Stale(12.0 * kSecond));
-  // A refresh that serves old data does not rejuvenate the cache past it.
-  EXPECT_TRUE(client.Refresh(30.0 * kSecond, true,
-                             /*served_time=*/15.0 * kSecond));
-  EXPECT_DOUBLE_EQ(client.Age(30.0 * kSecond), 15.0 * kSecond);
-  EXPECT_TRUE(client.Stale(30.0 * kSecond));
-  // A current refresh restores the exact map.
-  EXPECT_TRUE(client.Refresh(40.0 * kSecond));
-  EXPECT_FALSE(client.Stale(40.0 * kSecond));
-  EXPECT_FALSE(client.Map(40.0 * kSecond).Occupied(7));
-  EXPECT_EQ(client.RefreshCount(), 3);
 }
 
 // ---------------------------------------------------------- churn storms --

@@ -1,6 +1,9 @@
 // Tests for the geo-location incumbent database.
 #include <gtest/gtest.h>
 
+#include "geodb/service.h"
+#include "geodb/session.h"
+#include "sim/world.h"
 #include "spectrum/geodb.h"
 #include "util/stats.h"
 
@@ -60,26 +63,47 @@ TEST(GeoDb, RejectsBadInput) {
 }
 
 TEST(GeoDb, StaleBoundaryIsStrict) {
-  // The staleness boundary is pinned STRICT (Age > stale_after): the
-  // FCC-style contract is "re-query within T", so data whose age is
-  // exactly T is still trusted and the degraded map takes over only one
-  // microsecond past the horizon.  GeoDbSession's stale watchdog
-  // schedules itself one tick past data_time + stale_after for the same
-  // reason — both sides of the protocol must agree on the boundary.
+  // The staleness boundary is pinned STRICT: the FCC-style contract is
+  // "re-query within T", so data whose age is exactly T is still trusted
+  // and the session degrades only one tick past data_time + stale_after.
+  World world;
   GeoDatabase db;
   db.RegisterStation(TvStation{"WAAA", 7, {0, 0}, 100.0});
-  GeoDbClientParams params;
+  GeoDbService service(world.sim(), db, GeoDbServiceParams{}, 7, nullptr, {});
+  Device& device = world.Create<Device>(DeviceConfig{});
+  GeoDbSessionParams params;
   params.stale_after = 10.0 * kSecond;
-  GeoDbClient client(db, {0, 0}, params);  // Initial fetch at t = 0.
-  EXPECT_FALSE(client.Stale(10.0 * kSecond));       // Exactly at: trusted.
-  EXPECT_TRUE(client.Stale(10.0 * kSecond + 1.0));  // One us past: stale.
-  EXPECT_EQ(&client.Map(10.0 * kSecond), &client.FreshMap());
-  EXPECT_EQ(&client.Map(10.0 * kSecond + 1.0), &client.ConservativeMap());
-  // The cache ages from the DATA time, not the fetch time: a refresh that
-  // serves backdated data can leave the client already past the horizon.
-  ASSERT_TRUE(client.Refresh(20.0 * kSecond, true, 9.0 * kSecond));
-  EXPECT_FALSE(client.Stale(19.0 * kSecond));
-  EXPECT_TRUE(client.Stale(19.0 * kSecond + 1.0));
+  // No refresh falls due before the horizon, so no query can fail and
+  // open the breaker: only the stale watchdog can degrade the session.
+  params.refresh_interval = 60 * kTicksPerSec;
+  params.refresh_jitter = 0.0;
+  GeoDbSession session(world, device, service, {0, 0}, SpectrumMap{}, params,
+                       21);
+  service.Start();
+  session.Start();
+  ASSERT_EQ(session.data_time(), 0.0);  // Bootstrap data.
+  world.sim().Run(10 * kTicksPerSec);
+  EXPECT_EQ(session.mode(), GeoDbMode::kFresh);  // Exactly at: trusted.
+  world.sim().Run(10 * kTicksPerSec + 1);
+  EXPECT_EQ(session.mode(), GeoDbMode::kDegraded);  // One tick past: stale.
+  EXPECT_EQ(session.breaker(), GeoDbBreaker::kClosed);
+  EXPECT_EQ(session.refreshes(), 0);
+}
+
+TEST(GeoDb, ConservativeQueryWidensContoursAndIgnoresSchedules) {
+  // Degraded mode on stale data must avoid more channels, never fewer.
+  GeoDatabase db;
+  db.RegisterStation(TvStation{"WAAA", 7, {0, 0}, 100.0});  // 60 km contour.
+  // A venue whose protection window is closed at query time.
+  db.RegisterVenue(ProtectedVenue{"hall", 12, {65, 0}, 2.0, 100.0 * kSecond,
+                                  200.0 * kSecond});
+  // 65 km out: outside the 60 km contour, inside the 70 km guarded one.
+  const SpectrumMap exact = db.QueryAt({65, 0}, 0.0);
+  const SpectrumMap conservative = db.QueryConservativeAt({65, 0}, 10.0);
+  EXPECT_FALSE(exact.Occupied(7));
+  EXPECT_FALSE(exact.Occupied(12));
+  EXPECT_TRUE(conservative.Occupied(7));
+  EXPECT_TRUE(conservative.Occupied(12));  // Closed venue treated as active.
 }
 
 TEST(GeoDb, ProtectedAtPointQuery) {

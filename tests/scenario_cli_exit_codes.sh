@@ -2,7 +2,8 @@
 # Exit-code contract of scenario_cli (documented in its header):
 #   0  success / replay reproduced / invariants held
 #   1  runtime failure / violation found / replay divergence
-#   2  configuration error (bad flags, malformed file, --strict unknown key)
+#   2  configuration error (bad flags, malformed file, --strict unknown key,
+#      a flag the run cannot honour)
 # Scripts (and CI) rely on the 1-vs-2 distinction, so it is pinned here.
 #
 # Usage: scenario_cli_exit_codes.sh <path-to-scenario_cli>
@@ -227,6 +228,79 @@ city.tile_m = 100
 EOF
 expect_exit 2 "tile edge below the interference cutoff" \
   "$CLI" --config "$TMP/city_bad_tile.conf"
+
+# Scenario flags are description keys.  A flags-only run is the standard
+# cell of the equivalent description file: same stdout after the header
+# line (which names the source).  --trace prints the recovery story.
+cat >"$TMP/mic.conf" <<EOF
+seconds = 20
+map.name = building5
+network.clients = 3
+mic.tv_channel = 28
+mic.on_s = 5
+EOF
+expect_exit 0 "mic description file" "$CLI" --config "$TMP/mic.conf" --trace
+tail -n +2 "$TMP/out" >"$TMP/mic_file.out"
+expect_exit 0 "mic example through flags" "$CLI" --map building5 --clients 3 \
+  --mic 28 --mic-at 5 --seconds 20 --trace
+tail -n +2 "$TMP/out" >"$TMP/mic_flags.out"
+cmp -s "$TMP/mic_file.out" "$TMP/mic_flags.out" || {
+  diff "$TMP/mic_file.out" "$TMP/mic_flags.out" >&2
+  fail "a flags-only run must print what the equivalent file prints"
+}
+grep -q "  incumbent_on  " "$TMP/mic_flags.out" ||
+  fail "--trace must print the incumbent_on record"
+grep -q "  channel_switch  " "$TMP/mic_flags.out" ||
+  fail "--trace must print channel_switch records"
+
+# Flags override the file, before it loads: --seed changes the run.
+expect_exit 0 "file alone" "$CLI" --config "$TMP/mic.conf"
+cp "$TMP/out" "$TMP/seed_file.out"
+expect_exit 0 "file with --seed" "$CLI" --config "$TMP/mic.conf" --seed 9
+cmp -s "$TMP/out" "$TMP/seed_file.out" &&
+  fail "--seed must override the file's seed"
+
+# A flag the run cannot honour exits 2 naming the flag, never a silent
+# no-op.
+expect_config_error() {
+  flag="$1"
+  shift
+  expect_exit 2 "$flag in: $*" "$@"
+  grep -q -- "$flag" "$TMP/err" || {
+    cat "$TMP/err" >&2
+    fail "the error must name $flag"
+  }
+}
+expect_config_error --clients "$CLI" --config "$TMP/city.conf" --clients 7
+expect_config_error --mic-at "$CLI" --seconds 1 --mic-at 3
+for flag in --metrics --trace --profile; do
+  expect_config_error $flag "$CLI" --config "$TMP/city.conf" $flag
+  expect_config_error $flag "$CLI" --replay "$TMP/ok.conf" $flag
+done
+for flag in --metrics-csv --metrics-json --trace-json --trace-jsonl \
+    --timeline-csv; do
+  expect_config_error $flag "$CLI" --config "$TMP/city.conf" $flag "$TMP/o"
+  expect_config_error $flag "$CLI" --replay "$TMP/ok.conf" $flag "$TMP/o"
+done
+[ -e "$TMP/o" ] && fail "a refused output flag must write nothing"
+expect_config_error --trace-only \
+  "$CLI" --config "$TMP/city.conf" --trace-only chirp
+expect_config_error --shards "$CLI" --config "$TMP/ok.conf" --shards 3
+expect_config_error --shards "$CLI" --seconds 1 --shards 3
+expect_config_error --seed "$CLI" --replay "$TMP/ok.conf" --seed 3
+expect_config_error --minimize \
+  "$CLI" --config "$TMP/ok.conf" --minimize "$TMP/min.bundle"
+[ -e "$TMP/min.bundle" ] && fail "--minimize without --replay wrote a file"
+
+# A scenario that cannot be built exits 1 whether a flag or the file names
+# it, and never aborts.
+expect_exit 1 "unknown map through a flag" "$CLI" --map bogus
+expect_exit 1 "mic off the white-space band through a flag" "$CLI" --mic 99
+expect_exit 1 "negative client count through a flag" "$CLI" --clients -1
+expect_exit 1 "zero background interval through a flag" \
+  "$CLI" --background 1 --ipd 0
+printf 'map.name = bogus\n' >"$TMP/bogus_map.conf"
+expect_exit 1 "unknown map in the file" "$CLI" --config "$TMP/bogus_map.conf"
 
 # Replaying a file with no expect block is a runtime failure (1), not a
 # config error: the file parsed fine, the reproduction just cannot hold.

@@ -1,9 +1,11 @@
-// Tests for the CSMA/CA MAC, traffic sources, scanner, and world plumbing.
+// Tests for the CSMA/CA MAC and its fairness, traffic sources, scanner,
+// and world plumbing.
 #include <gtest/gtest.h>
 
 #include "sim/scanner.h"
 #include "sim/traffic.h"
 #include "sim/world.h"
+#include "util/stats.h"
 
 namespace whitefi {
 namespace {
@@ -154,6 +156,34 @@ TEST(Mac, DuplicateDataDeliveredOnce) {
   b.DeliverFrame(f, -40.0);  // Retransmission of the same seq.
   world.RunFor(0.1);
   EXPECT_EQ(received, 1);
+}
+
+// ------------------------------------------------------------- fairness --
+
+TEST(Fairness, JainIndexBasics) {
+  EXPECT_DOUBLE_EQ(JainFairnessIndex({}), 0.0);
+  EXPECT_DOUBLE_EQ(JainFairnessIndex({5.0}), 1.0);
+  EXPECT_DOUBLE_EQ(JainFairnessIndex({3.0, 3.0, 3.0}), 1.0);
+  EXPECT_DOUBLE_EQ(JainFairnessIndex({1.0, 0.0, 0.0, 0.0}), 0.25);
+  EXPECT_DOUBLE_EQ(JainFairnessIndex({0.0, 0.0}), 1.0);
+  EXPECT_NEAR(JainFairnessIndex({1.0, 2.0, 3.0}), 36.0 / 42.0, 1e-12);
+}
+
+TEST(Fairness, DcfSharesFairlyAmongEqualClients) {
+  // Three equal clients of a saturated downlink: Jain index near 1.
+  World world;
+  const Channel ch{10, ChannelWidth::kW20};
+  Device& ap = world.Create<Device>(At(0, 0, ch));
+  std::vector<int> ids;
+  for (int i = 0; i < 3; ++i) {
+    ids.push_back(world.Create<Device>(At(40.0 + 10 * i, 0, ch)).NodeId());
+  }
+  SaturatedSource downlink(ap, ids, 1000);
+  downlink.Start();
+  world.RunFor(5.0);
+  std::vector<double> shares;
+  for (int id : ids) shares.push_back(static_cast<double>(world.AppBytes(id)));
+  EXPECT_GT(JainFairnessIndex(shares), 0.99);
 }
 
 // ---------------------------------------------------------------- traffic -
