@@ -24,10 +24,10 @@
 //     --audit             run under the invariant auditor
 //     --audit-budget-ms M incumbent-safety budget override
 //   scenario_cli --config CITY.conf [--shards N] ...
-//                                     (N worker threads; output is
-//                                      byte-identical for every N — the
-//                                      count is an execution knob, never
-//                                      part of the science)
+//                                     (min(N, tiles) worker threads;
+//                                      output is byte-identical for every
+//                                      N — the count is an execution
+//                                      knob, never part of the science)
 //   scenario_cli --replay BUNDLE [--minimize OUT]
 //                                     (re-run a fuzz repro bundle and check
 //                                      the violation reproduces exactly;
@@ -447,7 +447,7 @@ int RunCity(const Options& options, const ConfigFile& config) {
   std::cout << "city scenario " << options.config_file << ": "
             << engine.NumTiles() << " tiles, "
             << engine.layout().cells.size() << " cells\n";
-  std::cerr << "shards: " << options.shards << " worker thread(s)\n";
+  std::cerr << "shards: " << engine.workers() << " worker thread(s)\n";
   engine.Run(scenario.seconds);
   std::cout << engine.SummaryText();
   if (scenario.engine.audit) {

@@ -46,7 +46,7 @@ ShardEngine::ShardEngine(const CityParams& city,
     tiles_.push_back(std::move(tile));
     BuildTile(*tiles_.back(), city_);
   }
-  pool_ = std::make_unique<ThreadPool>(config_.shards);
+  pool_ = std::make_unique<ThreadPool>(std::min(config_.shards, num_tiles));
 }
 
 ShardEngine::~ShardEngine() = default;

@@ -47,7 +47,8 @@ namespace whitefi::shard {
 /// Federation configuration.
 struct ShardEngineConfig {
   /// Worker threads mapping tiles to cores.  Purely an execution knob:
-  /// results are byte-identical for every value >= 1.
+  /// results are byte-identical for every value >= 1.  The engine starts
+  /// min(shards, tiles) of them: a round has one task per tile.
   int shards = 1;
   MediumParams medium;
   /// Conservative horizon per round; 0 derives PhysicalLookaheadBound().
@@ -114,6 +115,8 @@ class ShardEngine {
   SimTime Now() const { return now_; }
   SimTime horizon() const { return horizon_; }
   int NumTiles() const { return layout_.partition.NumTiles(); }
+  /// Threads the rounds run on: min(shards, tiles).
+  int workers() const { return pool_->jobs(); }
   const CityLayout& layout() const { return layout_; }
 
   /// The tile's world (tests inspect books/metrics through it).

@@ -3,7 +3,34 @@
 #include <stdexcept>
 #include <string>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 namespace whitefi {
+namespace {
+
+// True while this thread is inside a Run of a pool with workers: a worker
+// thread always, a caller while it drains its own batch or runs one
+// inline.  Drives the nesting rule in parallel.h.
+thread_local bool t_in_pool_task = false;
+
+// Marks the calling thread as inside a Run for one scope and remembers
+// whether it already was.
+class InTaskScope {
+ public:
+  InTaskScope() : nested_(t_in_pool_task) { t_in_pool_task = true; }
+  ~InTaskScope() { t_in_pool_task = nested_; }
+  InTaskScope(const InTaskScope&) = delete;
+  InTaskScope& operator=(const InTaskScope&) = delete;
+
+  bool nested() const { return nested_; }
+
+ private:
+  bool nested_;
+};
+
+}  // namespace
 
 ThreadPool::ThreadPool(int jobs) : jobs_(jobs < 1 ? 1 : jobs) {
   workers_.reserve(static_cast<std::size_t>(jobs_ - 1));
@@ -22,23 +49,35 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Run(std::size_t n, const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
   if (jobs_ <= 1) {
     // Serial reference path: inline, index order, no synchronization.
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  {
+  const InTaskScope scope;
+  bool owned = false;
+  if (n > 1 && !scope.nested()) {
     std::lock_guard<std::mutex> lock(mutex_);
-    task_ = &fn;
-    batch_size_ = n;
-    next_index_ = 0;
-    in_flight_ = 0;
-    first_error_ = nullptr;
-    ++generation_;
+    if (task_ == nullptr) {
+      // The caller keeps index 0 for itself.
+      owned = true;
+      task_ = &fn;
+      batch_size_ = n;
+      next_index_ = 1;
+      in_flight_ = 1;
+      first_error_ = nullptr;
+      ++generation_;
+    }
+  }
+  if (!owned) {
+    // Nested in a task, or another thread's batch is in flight: the
+    // serial loop, on this thread.
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
   }
   batch_ready_.notify_all();
   // The caller works too, then waits for stragglers.
+  RunIndex(0);
   DrainBatch();
   std::unique_lock<std::mutex> lock(mutex_);
   batch_done_.wait(lock, [this] {
@@ -52,6 +91,24 @@ void ThreadPool::Run(std::size_t n, const std::function<void(std::size_t)>& fn) 
   }
 }
 
+void ThreadPool::RunIndex(std::size_t index) {
+  // task_ stays put while this index is in flight: the batch cannot
+  // complete before it retires.
+  try {
+    (*task_)(index);
+  } catch (...) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (first_error_ == nullptr) first_error_ = std::current_exception();
+  }
+  bool last = false;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    --in_flight_;
+    last = next_index_ >= batch_size_ && in_flight_ == 0;
+  }
+  if (last) batch_done_.notify_all();
+}
+
 void ThreadPool::DrainBatch() {
   for (;;) {
     std::size_t index;
@@ -61,23 +118,12 @@ void ThreadPool::DrainBatch() {
       index = next_index_++;
       ++in_flight_;
     }
-    try {
-      (*task_)(index);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (first_error_ == nullptr) first_error_ = std::current_exception();
-    }
-    bool last = false;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --in_flight_;
-      last = next_index_ >= batch_size_ && in_flight_ == 0;
-    }
-    if (last) batch_done_.notify_all();
+    RunIndex(index);
   }
 }
 
 void ThreadPool::WorkerLoop() {
+  t_in_pool_task = true;
   std::uint64_t seen_generation = 0;
   for (;;) {
     {
@@ -92,9 +138,16 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
+bool InPoolTask() { return t_in_pool_task; }
+
+ThreadPool& SharedThreadPool() {
+  static ThreadPool pool(HardwareJobs());
+  return pool;
+}
+
 void ParallelFor(int jobs, std::size_t n,
                  const std::function<void(std::size_t)>& fn) {
-  if (jobs <= 1 || n <= 1) {
+  if (jobs <= 1 || n <= 1 || InPoolTask()) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
@@ -103,6 +156,14 @@ void ParallelFor(int jobs, std::size_t n,
 }
 
 int HardwareJobs() {
+#ifdef __linux__
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    const int cpus = CPU_COUNT(&mask);
+    if (cpus > 0) return cpus;
+  }
+#endif
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <memory>
 #include <random>
+
+#include "util/parallel.h"
 
 namespace whitefi {
 namespace {
@@ -35,6 +38,49 @@ std::uint64_t SplitMix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   return x ^ (x >> 31);
+}
+
+// FillRayleigh's long path: `engine` draws chunk k+1 while `pool`
+// converts chunk k.  Only the word -> double transform leaves this
+// thread.  The engine draws every word here (before the first Run, then
+// as index 0, which the pool keeps on the calling thread), in stream
+// order and in whole chunks, so the stream ends exactly out.size() words
+// on.  A task reads only its slice of the ready chunk and writes only
+// the matching slice of `out`, and RayleighFromWords is a pure per-word
+// map, so no value depends on the slicing or on which thread converts
+// it.
+void FillRayleighOnPool(Mt19937_64& engine, double sigma,
+                        std::span<double> out, ThreadPool& pool) {
+  constexpr std::size_t kChunk = Rng::kFillChunkWords;
+  const std::size_t slices = 8 * static_cast<std::size_t>(pool.jobs());
+  const auto buffer =
+      std::make_unique_for_overwrite<std::uint64_t[]>(2 * kChunk);
+  std::uint64_t* ready = buffer.get();
+  std::uint64_t* filling = ready + kChunk;
+  std::size_t ready_n = std::min(out.size(), kChunk);
+  engine.Fill({ready, ready_n});
+  for (std::size_t done = 0; ready_n > 0;) {
+    const std::size_t fill_n = std::min(out.size() - done - ready_n, kChunk);
+    const std::span<double> chunk = out.subspan(done, ready_n);
+    // Whole 512-word blocks per slice, so each conversion stays in L1.
+    const std::size_t blocks = (ready_n + kRayleighBlock - 1) / kRayleighBlock;
+    const std::size_t slice = (blocks + slices - 1) / slices * kRayleighBlock;
+    pool.Run(1 + slices, [&](std::size_t i) {
+      if (i == 0) {
+        engine.Fill({filling, fill_n});
+        return;
+      }
+      const std::size_t end = std::min(i * slice, ready_n);
+      for (std::size_t at = std::min((i - 1) * slice, end); at < end;
+           at += kRayleighBlock) {
+        const std::size_t n = std::min(end - at, kRayleighBlock);
+        RayleighFromWords(sigma, {ready + at, n}, chunk.subspan(at, n));
+      }
+    });
+    done += ready_n;
+    std::swap(ready, filling);
+    ready_n = fill_n;
+  }
 }
 
 }  // namespace
@@ -166,6 +212,13 @@ double Rng::Rayleigh(double sigma) {
 }
 
 void Rng::FillRayleigh(double sigma, std::span<double> out) {
+  if (out.size() >= kParallelFillWords && !InPoolTask()) {
+    ThreadPool& pool = SharedThreadPool();
+    if (pool.jobs() > 1) {
+      FillRayleighOnPool(engine_, sigma, out, pool);
+      return;
+    }
+  }
   std::array<std::uint64_t, kRayleighBlock> words;
   while (!out.empty()) {
     const std::size_t n = std::min(out.size(), kRayleighBlock);

@@ -122,8 +122,16 @@ class Rng {
   /// calling Rayleigh(sigma) once per element, and leaves the stream at
   /// the same position, but runs in L1-resident blocks (bulk engine words,
   /// vectorized conversion, scalar log) — the bulk-noise fast path for
-  /// trace synthesis.
+  /// trace synthesis.  A span of at least kParallelFillWords draws its
+  /// words on the calling thread, chunk by chunk, while SharedThreadPool()
+  /// converts the previous chunk; inside a pool task, or on a one-CPU
+  /// host, it runs the block loop.
   void FillRayleigh(double sigma, std::span<double> out);
+
+  /// Words per chunk of a long FillRayleigh: 2 MiB of words.
+  static constexpr std::size_t kFillChunkWords = std::size_t{1} << 18;
+  /// The shortest FillRayleigh span that converts on the shared pool.
+  static constexpr std::size_t kParallelFillWords = 2 * kFillChunkWords;
 
   /// Exponential with the given mean (mean = 1/lambda).
   double Exponential(double mean);

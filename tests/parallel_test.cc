@@ -5,9 +5,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <fstream>
+#include <functional>
+#include <future>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "scenario.h"
 #include "spectrum/campus.h"
@@ -16,6 +27,53 @@
 
 namespace whitefi {
 namespace {
+
+using std::chrono::seconds;
+
+// Runs `body` on a thread of its own and waits at most `limit` for it, so
+// a pool that deadlocks fails its test instead of hanging the suite.  On
+// a timeout the thread is abandoned with whatever its captures own; the
+// bodies below hold their pool and counters through shared_ptr for that
+// reason.
+bool FinishesWithin(seconds limit, std::function<void()> body) {
+  auto finished = std::make_shared<std::promise<void>>();
+  std::future<void> done = finished->get_future();
+  std::thread runner([body = std::move(body), finished] {
+    body();
+    finished->set_value();
+  });
+  if (done.wait_for(limit) != std::future_status::ready) {
+    runner.detach();
+    return false;
+  }
+  runner.join();
+  return true;
+}
+
+constexpr seconds kHangLimit{30};
+
+// Per-index hit counters.
+using Hits = std::vector<std::atomic<int>>;
+
+void ExpectEachOnce(const Hits& hits, const std::string& what) {
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << what << " index " << i;
+  }
+}
+
+// Threads in this process, or -1 where /proc/self/status is unavailable.
+int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "Threads:") {
+      int threads = -1;
+      status >> threads;
+      return threads;
+    }
+  }
+  return -1;
+}
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   for (int jobs : {1, 2, 4, 8}) {
@@ -90,6 +148,153 @@ TEST(ThreadPool, ReusableAcrossBatches) {
     EXPECT_EQ(total, 64);
   }
 }
+
+TEST(ThreadPool, IndexZeroRunsOnTheCallingThread) {
+  ThreadPool pool(4);
+  for (int batch = 0; batch < 50; ++batch) {
+    std::thread::id zero;
+    pool.Run(9, [&](std::size_t i) {
+      if (i == 0) zero = std::this_thread::get_id();
+    });
+    EXPECT_EQ(zero, std::this_thread::get_id()) << "batch " << batch;
+  }
+}
+
+TEST(ThreadPool, InPoolTaskHoldsInsideRunOnly) {
+  EXPECT_FALSE(InPoolTask());
+  ThreadPool pool(4);
+  Hits inside(32);
+  pool.Run(inside.size(), [&](std::size_t i) { inside[i] = InPoolTask(); });
+  for (std::size_t i = 0; i < inside.size(); ++i) {
+    EXPECT_EQ(inside[i].load(), 1) << "index " << i;
+  }
+  EXPECT_FALSE(InPoolTask());
+  // A one-thread pool is the plain serial loop: not "inside".
+  ThreadPool serial(1);
+  bool flagged = true;
+  serial.Run(1, [&](std::size_t) { flagged = InPoolTask(); });
+  EXPECT_FALSE(flagged);
+}
+
+TEST(ThreadPool, RunFromInsideItsOwnTaskVisitsEveryIndexOnce) {
+  constexpr std::size_t kOuter = 16;
+  constexpr std::size_t kInner = 16;
+  auto pool = std::make_shared<ThreadPool>(4);
+  auto outer = std::make_shared<Hits>(kOuter);
+  auto inner = std::make_shared<Hits>(kOuter * kInner);
+  auto inline_inner = std::make_shared<std::atomic<int>>(0);
+  ASSERT_TRUE(FinishesWithin(kHangLimit, [pool, outer, inner, inline_inner] {
+    pool->Run(kOuter, [&](std::size_t i) {
+      ++(*outer)[i];
+      const std::thread::id task_thread = std::this_thread::get_id();
+      pool->Run(kInner, [&](std::size_t j) {
+        ++(*inner)[i * kInner + j];
+        if (std::this_thread::get_id() == task_thread) ++*inline_inner;
+      });
+    });
+  })) << "a Run nested in its own pool's task hung";
+  ExpectEachOnce(*outer, "outer");
+  ExpectEachOnce(*inner, "inner");
+  // The nested batches ran inline, on their task's thread.
+  EXPECT_EQ(inline_inner->load(), static_cast<int>(kOuter * kInner));
+}
+
+TEST(ThreadPool, ConcurrentCallersEachCompleteTheirOwnIndicesOnce) {
+  struct Shared {
+    ThreadPool pool{4};
+    Hits first = Hits(64);
+    Hits second = Hits(64);
+    std::atomic<bool> first_in_flight{false};
+    std::atomic<bool> second_done{false};
+    std::atomic<int> free_runs{0};
+  };
+  auto shared = std::make_shared<Shared>();
+  ASSERT_TRUE(FinishesWithin(kHangLimit, [shared] {
+    Shared& s = *shared;
+    // The first caller's batch stays in flight until the second caller's
+    // Run on the same pool has returned (or 5 s pass), so the two calls
+    // overlap every time.
+    std::thread first([&] {
+      s.pool.Run(s.first.size(), [&](std::size_t i) {
+        ++s.first[i];
+        s.first_in_flight = true;
+        const auto give_up = std::chrono::steady_clock::now() + seconds(5);
+        while (!s.second_done && std::chrono::steady_clock::now() < give_up) {
+          std::this_thread::yield();
+        }
+      });
+    });
+    while (!s.first_in_flight) std::this_thread::yield();
+    std::thread second([&] {
+      s.pool.Run(s.second.size(), [&](std::size_t i) { ++s.second[i]; });
+      s.second_done = true;
+    });
+    first.join();
+    second.join();
+    // Then unsynchronized: two callers racing batch after batch.
+    const auto race = [&] {
+      for (int round = 0; round < 200; ++round) {
+        std::atomic<int> hits{0};
+        s.pool.Run(16, [&](std::size_t) { ++hits; });
+        if (hits == 16) ++s.free_runs;
+      }
+    };
+    std::thread a(race);
+    std::thread b(race);
+    a.join();
+    b.join();
+  })) << "two callers on one pool hung";
+  ExpectEachOnce(shared->first, "first caller");
+  ExpectEachOnce(shared->second, "second caller");
+  EXPECT_EQ(shared->free_runs.load(), 400);
+}
+
+TEST(ParallelFor, InsideAPoolTaskBuildsNoPool) {
+  if (ProcessThreads() < 0) GTEST_SKIP() << "no /proc/self/status";
+  constexpr std::size_t kOuter = 2;
+  constexpr std::size_t kInner = 8;
+  struct Shared {
+    ThreadPool pool{2};
+    Hits hits = Hits(kOuter * kInner);
+    int before = 0;
+    std::atomic<int> most{0};
+  };
+  auto shared = std::make_shared<Shared>();
+  ASSERT_TRUE(FinishesWithin(kHangLimit, [shared] {
+    Shared& s = *shared;
+    s.before = ProcessThreads();
+    s.pool.Run(kOuter, [&](std::size_t i) {
+      ParallelFor(4, kInner, [&](std::size_t j) {
+        ++s.hits[i * kInner + j];
+        int seen = ProcessThreads();
+        int most = s.most;
+        while (seen > most && !s.most.compare_exchange_weak(most, seen)) {
+        }
+      });
+    });
+  })) << "ParallelFor inside a pool task hung";
+  ExpectEachOnce(shared->hits, "inner");
+  // No thread was started while the nested loops ran.
+  EXPECT_EQ(shared->most.load(), shared->before);
+}
+
+#ifdef __linux__
+TEST(HardwareJobs, CountsTheCallingThreadsAffinityMask) {
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(HardwareJobs(), CPU_COUNT(&saved));
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const int pinned = HardwareJobs();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned, 1);
+}
+#endif
 
 TEST(ParseJobs, ParsesCountsAndRejectsGarbage) {
   EXPECT_EQ(ParseJobs("1"), 1);

@@ -317,6 +317,22 @@ TEST(SynthesisOracle, OverlappingAndScaledBurstsMatchReference) {
   ExpectMatchesReference(SignalParams{}, bursts, 8000.0, 17);
 }
 
+TEST(SynthesisOracle, Table1LengthTraceMatchesReference) {
+  // One Table 1 run: 110 1000-byte iperf packets at 0.5 Mbps on 5 MHz,
+  // ~1.7 M samples, so the noise floor takes FillRayleigh's long path and
+  // the ramped bursts merge over it block by block.
+  const PhyTiming t = PhyTiming::ForWidth(ChannelWidth::kW5);
+  const Us interval = 8.0 * 1000 / 0.5;
+  std::vector<Burst> bursts;
+  for (int i = 0; i < 110; ++i) {
+    const auto exchange = MakeDataAckExchange(t, 500.0 + i * interval, 1000);
+    bursts.insert(bursts.end(), exchange.begin(), exchange.end());
+  }
+  const Us duration = bursts.back().start + bursts.back().duration + 1000.0;
+  ASSERT_GE(duration / SignalParams{}.sample_period, 1.5e6);
+  ExpectMatchesReference(SignalParams{}, bursts, duration, 110);
+}
+
 TEST(SynthesisOracle, BurstsPastTheTraceEndMatchReference) {
   // One burst runs past the end and is cut off; the next starts after the
   // end, so it draws only its ramp realization.

@@ -167,6 +167,23 @@ expect_exit 0 "valid city config under audit" \
   "$CLI" --config "$TMP/city.conf" --strict --shards 2 --audit
 grep -q "shards: 4" "$TMP/out" && fail "shard count must not reach stdout"
 
+# The engine starts min(--shards, tiles) worker threads: a huge count
+# prints the --shards 1 summary and reports the clamped width on stderr.
+CITY_GRID="$(dirname "$0")/../examples/configs/city_grid.conf"
+expect_exit 0 "city_grid, one shard" "$CLI" --config "$CITY_GRID" --strict \
+  --shards 1
+cp "$TMP/out" "$TMP/city_s1.out"
+expect_exit 0 "city_grid, 2000 shards" "$CLI" --config "$CITY_GRID" --strict \
+  --shards 2000
+cmp -s "$TMP/out" "$TMP/city_s1.out" || {
+  diff "$TMP/city_s1.out" "$TMP/out" >&2
+  fail "--shards 2000 must print the --shards 1 summary"
+}
+grep -q "^shards: 25 worker thread(s)$" "$TMP/err" || {
+  cat "$TMP/err" >&2
+  fail "--shards 2000 on 25 tiles must start 25 worker threads"
+}
+
 cat >"$TMP/city_typo.conf" <<EOF
 seed = 5
 seconds = 1

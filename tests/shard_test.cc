@@ -516,6 +516,15 @@ TEST(ShardEngineTest, ResetAppBytesCutsTheWarmup) {
   EXPECT_GT(engine.AppBytesTotal(), 0u);
 }
 
+TEST(ShardEngineTest, StartsNoMoreWorkersThanTiles) {
+  ShardEngineConfig config;
+  config.shards = 2000;
+  const ShardEngine engine(SmallCity(), config);
+  EXPECT_EQ(engine.workers(), engine.NumTiles());
+  config.shards = 3;
+  EXPECT_EQ(ShardEngine(SmallCity(), config).workers(), 3);
+}
+
 TEST(ShardEngineTest, RejectsNonPositiveShardCount) {
   ShardEngineConfig config;
   config.shards = 0;

@@ -7,9 +7,11 @@
 #include <cstdint>
 #include <random>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "util/histogram.h"
+#include "util/parallel.h"
 #include "util/report.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -270,13 +272,20 @@ TEST(Rng, GoldenFirstDrawsPinTheSeeding) {
 }
 
 TEST(Rng, FillRayleighEqualsPerElementRayleighBitForBit) {
-  // Lengths around the 512-word block and the 312-word twist, interleaved
-  // with scalar draws so the fill starts at every kind of stream offset.
+  // Lengths around the 512-word block and the 312-word twist, then around
+  // the long path's threshold and chunk edges, interleaved with scalar
+  // draws so the fill starts at every kind of stream offset.
+  constexpr std::size_t kChunk = Rng::kFillChunkWords;
+  constexpr std::size_t kLong = Rng::kParallelFillWords;
+  const std::vector<std::size_t> lengths = {
+      0,         1,     2,         311,           313,      511,
+      512,       513,   1500,      4097,          kLong - 1, kLong,
+      kLong + 1, 3 * kChunk + 17,  3'000'000};
   for (const std::uint64_t seed : {3u, 77u}) {
     Rng block(seed);
     Rng scalar(seed);
     std::vector<double> out;
-    for (const std::size_t n : {0, 1, 2, 311, 313, 511, 512, 513, 1500, 4097}) {
+    for (const std::size_t n : lengths) {
       for (const double sigma : {1.2, 3.0e5}) {
         out.assign(n, -1.0);
         block.FillRayleigh(sigma, out);
@@ -289,6 +298,47 @@ TEST(Rng, FillRayleighEqualsPerElementRayleighBitForBit) {
         ASSERT_EQ(block.Uniform01(), scalar.Uniform01());
       }
     }
+  }
+}
+
+// Elements of an n-draw FillRayleigh that differ from per-element
+// Rayleigh draws on a twin stream, plus one if the streams end apart.
+std::size_t FillRayleighMismatches(std::uint64_t seed, std::size_t n) {
+  Rng block(seed);
+  Rng scalar(seed);
+  std::vector<double> out(n);
+  block.FillRayleigh(1.2, out);
+  std::size_t mismatches = 0;
+  for (const double v : out) {
+    mismatches += std::bit_cast<std::uint64_t>(v) !=
+                  std::bit_cast<std::uint64_t>(scalar.Rayleigh(1.2));
+  }
+  return mismatches + (block.Uniform01() != scalar.Uniform01() ? 1 : 0);
+}
+
+TEST(Rng, LongFillRayleighIsExactInPoolTasksAndConcurrentThreads) {
+  // Inside pool tasks a long fill runs the block loop on the task's thread.
+  std::vector<std::size_t> in_tasks(4, 1);
+  ThreadPool pool(2);
+  pool.Run(in_tasks.size(), [&](std::size_t i) {
+    in_tasks[i] = FillRayleighMismatches(100 + i, Rng::kParallelFillWords + 9);
+  });
+  for (std::size_t i = 0; i < in_tasks.size(); ++i) {
+    EXPECT_EQ(in_tasks[i], 0u) << "pool task " << i;
+  }
+  // Three threads at once on distinct Rngs: one drives the shared pool,
+  // the others find it busy and convert inline.
+  std::vector<std::size_t> threaded(3, 1);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < threaded.size(); ++i) {
+    threads.emplace_back([&threaded, i] {
+      threaded[i] =
+          FillRayleighMismatches(200 + i, 3 * Rng::kFillChunkWords + 17);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (std::size_t i = 0; i < threaded.size(); ++i) {
+    EXPECT_EQ(threaded[i], 0u) << "thread " << i;
   }
 }
 
