@@ -162,7 +162,7 @@ int Main(int jobs, const std::string& trace_jsonl) {
 }  // namespace whitefi::bench
 
 int main(int argc, char** argv) {
-  return whitefi::bench::Main(
-      whitefi::bench::JobsFromArgs(argc, argv),
-      whitefi::bench::StringFromArgs(argc, argv, "--trace-jsonl"));
+  std::string trace_jsonl;
+  const int jobs = whitefi::bench::JobsFromArgs(argc, argv, &trace_jsonl);
+  return whitefi::bench::Main(jobs, trace_jsonl);
 }

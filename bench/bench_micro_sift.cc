@@ -4,7 +4,6 @@
 // chirp-codec costs.
 #include <benchmark/benchmark.h>
 
-#include "flags.h"
 #include "phy/signal.h"
 #include "sift/batch.h"
 #include "sift/chirp.h"
@@ -271,24 +270,6 @@ BENCHMARK(BM_ChirpCorrelateDot);
 // items_per_second counters in that report and refuses debug-build
 // baselines via the whitefi_build_type context.
 int main(int argc, char** argv) {
-  // Parse and install --detector, then strip it so google-benchmark's
-  // unrecognized-argument check doesn't trip over it.
-  whitefi::bench::DetectorFromArgs(argc, argv);
-  std::vector<char*> kept;
-  kept.reserve(static_cast<std::size_t>(argc));
-  for (int i = 0; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--detector") {
-      ++i;  // Skip the value too.
-      continue;
-    }
-    if (arg.rfind("--detector=", 0) == 0) continue;
-    kept.push_back(argv[i]);
-  }
-  argc = static_cast<int>(kept.size());
-  argv = kept.data();
-
-  benchmark::AddCustomContext("whitefi_detector_path", "block");
   benchmark::AddCustomContext("whitefi_sift_window",
                               std::to_string(whitefi::SiftParams{}.window));
   benchmark::AddCustomContext(

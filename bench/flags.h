@@ -4,45 +4,63 @@
 // the deterministic thread pool used for its independent trials.  0 means
 // all hardware threads; the default of 1 is the serial reference path, so
 // a driver's default output is byte-identical to the pre-parallel code.
+// A driver honours no other flag unless it says so, and an argument it
+// does not read is a configuration error (exit 2), never silently ignored.
 #pragma once
 
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 
-#include "sift/detector.h"
 #include "util/parallel.h"
 
 namespace whitefi::bench {
 
-/// Extracts a `--name VALUE` / `--name=VALUE` string flag from argv;
-/// empty string when absent.  Same forgiving contract as JobsFromArgs:
-/// unrelated arguments are ignored.
-inline std::string StringFromArgs(int argc, char** argv,
-                                  std::string_view name) {
-  const std::string prefix = std::string(name) + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == name && i + 1 < argc) return argv[i + 1];
-    if (arg.rfind(prefix, 0) == 0) return std::string(arg.substr(prefix.size()));
+namespace detail {
+
+/// When argv[i] is `name VALUE` or `name=VALUE`, returns VALUE and leaves
+/// `i` on the last argument consumed; nullopt when argv[i] is another
+/// flag.  Throws std::invalid_argument when `name` is the last argument.
+inline std::optional<std::string> TakeFlagValue(int argc, char** argv, int& i,
+                                                std::string_view name) {
+  const std::string_view arg = argv[i];
+  if (arg == name) {
+    if (i + 1 >= argc) {
+      throw std::invalid_argument(std::string(name) + " needs a value");
+    }
+    return argv[++i];
   }
-  return {};
+  if (arg.size() > name.size() && arg.starts_with(name) &&
+      arg[name.size()] == '=') {
+    return std::string(arg.substr(name.size() + 1));
+  }
+  return std::nullopt;
 }
 
-/// Extracts `--jobs N` / `--jobs=N` from argv (default 1).  Unknown
-/// arguments are ignored so drivers stay forgiving about extra flags; a
-/// malformed jobs value is a clean `error:` exit (2), not a terminate.
-inline int JobsFromArgs(int argc, char** argv) {
+}  // namespace detail
+
+/// Parses a driver's argv: `--jobs N` / `--jobs=N` (default 1) and, for a
+/// driver that passes `trace_jsonl`, `--trace-jsonl FILE` into it.  Any
+/// other argument, a flag missing its value, or a malformed jobs value is
+/// a clean `error:` exit (2) naming it.
+inline int JobsFromArgs(int argc, char** argv,
+                        std::string* trace_jsonl = nullptr) {
   int jobs = 1;
   try {
     for (int i = 1; i < argc; ++i) {
-      const std::string_view arg = argv[i];
-      if (arg == "--jobs" && i + 1 < argc) {
-        jobs = ParseJobs(argv[++i]);
-      } else if (arg.rfind("--jobs=", 0) == 0) {
-        jobs = ParseJobs(arg.data() + 7);
+      std::optional<std::string> value;
+      if ((value = detail::TakeFlagValue(argc, argv, i, "--jobs"))) {
+        jobs = ParseJobs(value->c_str());
+      } else if (trace_jsonl != nullptr &&
+                 (value = detail::TakeFlagValue(argc, argv, i,
+                                                "--trace-jsonl"))) {
+        *trace_jsonl = *value;
+      } else {
+        throw std::invalid_argument(std::string("unknown argument '") +
+                                    argv[i] + "'");
       }
     }
   } catch (const std::invalid_argument& error) {
@@ -50,43 +68,6 @@ inline int JobsFromArgs(int argc, char** argv) {
     std::exit(2);
   }
   return jobs;
-}
-
-/// Extracts `--detector block|simd|scalar` (or `--detector=...`) and
-/// installs it as the process-wide SIFT kernel override ("block" is the
-/// automatic dispatch, i.e. kAuto; "avx2"/"avx512" force one specific
-/// vector flavor for debugging dispatch differences).  Returns the parsed
-/// choice.  An unknown value — or forcing a vector kernel on a host that
-/// cannot run it — is a clean `error:` exit (2).
-inline SiftKernelChoice DetectorFromArgs(int argc, char** argv) {
-  const std::string value = StringFromArgs(argc, argv, "--detector");
-  SiftKernelChoice choice = SiftKernelChoice::kAuto;
-  if (value.empty() || value == "block") {
-    choice = SiftKernelChoice::kAuto;
-  } else if (value == "simd") {
-    choice = SiftKernelChoice::kSimd;
-  } else if (value == "scalar") {
-    choice = SiftKernelChoice::kScalar;
-  } else if (value == "avx2") {
-    choice = SiftKernelChoice::kAvx2;
-  } else if (value == "avx512") {
-    choice = SiftKernelChoice::kAvx512;
-  } else {
-    std::cerr << "error: unknown --detector value '" << value
-              << "' (expected block, simd, scalar, avx2, or avx512)\n";
-    std::exit(2);
-  }
-  try {
-    SetSiftKernelOverride(choice);
-    // Resolve eagerly so a forced-simd request on a host without AVX2
-    // fails here, not deep inside the first trial.
-    SiftDetector probe{SiftParams{}};
-    (void)probe;
-  } catch (const std::invalid_argument& error) {
-    std::cerr << "error: " << error.what() << "\n";
-    std::exit(2);
-  }
-  return choice;
 }
 
 }  // namespace whitefi::bench

@@ -85,6 +85,9 @@ ScenarioConfig LoadScenario(const ConfigFile& config) {
         static_cast<int>(config.GetInt("mic.tv_channel")));
     mic.on_time = config.GetDouble("mic.on_s", 5.0) * kSecond;
     mic.off_time = config.GetDouble("mic.off_s", 600.0) * kSecond;
+    if (mic.off_time <= mic.on_time) {
+      throw std::runtime_error("mic.off_s must be later than mic.on_s");
+    }
     scenario.mics.push_back(mic);
   }
 

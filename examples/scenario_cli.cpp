@@ -18,8 +18,7 @@
 //
 // Usage:
 //   scenario_cli [--config FILE] [scenario flags] [--strict] [--audit]
-//                [--audit-budget-ms M] [--verbose] [--detector KERNEL]
-//                [output flags]
+//                [--audit-budget-ms M] [--verbose] [output flags]
 //     --strict            unknown keys in the file are errors, not warnings
 //     --audit             run under the invariant auditor
 //     --audit-budget-ms M incumbent-safety budget override
@@ -110,7 +109,6 @@ constexpr Flag kFlags[] = {
     {"--replay", kReplay, Flag::kText, nullptr},
     {"--minimize", kReplay, Flag::kText, nullptr},
     {"--verbose", kCell | kCity | kReplay, Flag::kNone, nullptr},
-    {"--detector", kCell | kCity | kReplay, Flag::kText, nullptr},
     {"--metrics", kCell, Flag::kNone, nullptr},
     {"--metrics-csv", kCell, Flag::kText, nullptr},
     {"--metrics-json", kCell, Flag::kText, nullptr},
@@ -362,27 +360,6 @@ bool ParseOptions(int argc, char** argv, Options& options) {
       }
     }
     else if (flag == "--timeline-csv") options.timeline_csv = value;
-    else if (flag == "--detector") {
-      // SIFT kernel selection for every detector the scenario constructs
-      // ("block" = automatic dispatch).  Forcing simd on a host without
-      // AVX2 throws here, i.e. exits 2 like any other bad flag value.
-      if (value == "block") SetSiftKernelOverride(SiftKernelChoice::kAuto);
-      else if (value == "simd") SetSiftKernelOverride(SiftKernelChoice::kSimd);
-      else if (value == "scalar") {
-        SetSiftKernelOverride(SiftKernelChoice::kScalar);
-      }
-      else if (value == "avx2") SetSiftKernelOverride(SiftKernelChoice::kAvx2);
-      else if (value == "avx512") {
-        SetSiftKernelOverride(SiftKernelChoice::kAvx512);
-      }
-      else {
-        throw std::invalid_argument(
-            "--detector: unknown value '" + value +
-            "' (expected block, simd, scalar, avx2, or avx512)");
-      }
-      SiftDetector probe{SiftParams{}};
-      (void)probe;
-    }
     else if (flag == "--profile") options.profile = true;
   }
   return true;
@@ -580,9 +557,8 @@ int main(int argc, char** argv) {
                    "[--static 5|10|20] [--background N] [--ipd MS] "
                    "[--mic TV] [--mic-at S] [--strict] [--audit] "
                    "[--audit-budget-ms M] [--shards N] [--verbose] "
-                   "[--detector block|simd|scalar|avx2|avx512] [--metrics] "
-                   "[--metrics-csv FILE] [--metrics-json FILE] [--trace] "
-                   "[--trace-json FILE] [--trace-jsonl FILE] "
+                   "[--metrics] [--metrics-csv FILE] [--metrics-json FILE] "
+                   "[--trace] [--trace-json FILE] [--trace-jsonl FILE] "
                    "[--trace-only K,K,...] [--timeline-csv FILE] "
                    "[--profile]\n"
                    "       scenario_cli --replay BUNDLE [--minimize OUT]\n"

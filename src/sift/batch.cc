@@ -3,138 +3,40 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "sift/kernel.h"
-
 namespace whitefi {
 
-namespace {
-
-sift_kernel::KernelFn AsKernel(void* fn) {
-  return reinterpret_cast<sift_kernel::KernelFn>(fn);
-}
-
-}  // namespace
-
 SiftBatch::SiftBatch(const SiftParams& params, std::size_t lanes)
-    : params_(params) {
-  if (params_.window <= 0) throw std::invalid_argument("window must be > 0");
-  if (params_.threshold <= 0.0) {
-    throw std::invalid_argument("threshold must be > 0");
-  }
+    : lanes_(lanes, SiftDetector(params)) {
   if (lanes == 0) throw std::invalid_argument("lanes must be > 0");
-  window_ = static_cast<std::size_t>(params_.window);
-  inv_window_ = 1.0 / static_cast<double>(window_);
-  sum_threshold_ = params_.threshold * static_cast<double>(window_);
-  kernel_ = reinterpret_cast<void*>(sift_kernel::Resolve(params_.kernel));
-  cores_.resize(lanes);
-  tails_.assign(lanes * window_, 0.0);
-  completed_.resize(lanes);
 }
 
 void SiftBatch::SetObservability(const Observability& obs) {
-  profiler_ = obs.profiler;
-  if (obs.metrics == nullptr) {
-    bursts_counter_ = nullptr;
-    burst_us_ = nullptr;
-    return;
-  }
-  bursts_counter_ = &obs.metrics->GetCounter("whitefi.sift.bursts");
-  burst_us_ = &obs.metrics->GetHistogram("whitefi.sift.burst_us");
-}
-
-void SiftBatch::ProcessBlock(std::size_t lane,
-                             std::span<const double> samples) {
-  ScopedPhaseTimer timer(profiler_, "sift.detect");
-  if (samples.empty()) return;
-  const sift_kernel::Config cfg{
-      .window = window_,
-      .threshold = params_.threshold,
-      .sum_threshold = sum_threshold_,
-      .inv_window = inv_window_,
-      .sample_period = params_.sample_period,
-      .bursts_counter = bursts_counter_,
-      .burst_us = burst_us_,
-  };
-  AsKernel(kernel_)(cfg, cores_.at(lane), tails_.data() + lane * window_,
-                    merged_, completed_[lane], samples.data(), samples.size());
-}
-
-void SiftBatch::ProcessBlocks(std::span<const std::span<const double>> blocks) {
-  ScopedPhaseTimer timer(profiler_, "sift.detect");
-  const sift_kernel::Config cfg{
-      .window = window_,
-      .threshold = params_.threshold,
-      .sum_threshold = sum_threshold_,
-      .inv_window = inv_window_,
-      .sample_period = params_.sample_period,
-      .bursts_counter = bursts_counter_,
-      .burst_us = burst_us_,
-  };
-  const auto kernel = AsKernel(kernel_);
-  const std::size_t n = std::min(blocks.size(), cores_.size());
-  for (std::size_t lane = 0; lane < n; ++lane) {
-    if (blocks[lane].empty()) continue;
-    kernel(cfg, cores_[lane], tails_.data() + lane * window_, merged_,
-           completed_[lane], blocks[lane].data(), blocks[lane].size());
-  }
-}
-
-void SiftBatch::Flush(std::size_t lane) {
-  SiftCoreState& core = cores_.at(lane);
-  if (!core.in_burst) return;
-  core.in_burst = false;
-  const sift_kernel::Config cfg{
-      .window = window_,
-      .threshold = params_.threshold,
-      .sum_threshold = sum_threshold_,
-      .inv_window = inv_window_,
-      .sample_period = params_.sample_period,
-      .bursts_counter = bursts_counter_,
-      .burst_us = burst_us_,
-  };
-  sift_kernel::EmitBurst(cfg, core, completed_[lane],
-                         /*end_sample=*/core.samples_seen);
+  for (SiftDetector& lane : lanes_) lane.SetObservability(obs);
 }
 
 void SiftBatch::FlushAll() {
-  for (std::size_t lane = 0; lane < cores_.size(); ++lane) Flush(lane);
-}
-
-std::vector<DetectedBurst> SiftBatch::TakeBursts(std::size_t lane) {
-  std::vector<DetectedBurst> out;
-  out.swap(completed_.at(lane));
-  return out;
+  for (SiftDetector& lane : lanes_) lane.Flush();
 }
 
 std::vector<std::vector<DetectedBurst>> SiftBatch::DetectAll(
     std::span<const std::span<const double>> traces) {
-  ProcessBlocks(traces);
+  // Every lane's samples first, then every lane's flush, so metric sinks
+  // see the bursts in one fixed order.
+  const std::size_t n = std::min(traces.size(), lanes_.size());
+  for (std::size_t lane = 0; lane < n; ++lane) {
+    lanes_[lane].ProcessBlock(traces[lane]);
+  }
   std::vector<std::vector<DetectedBurst>> out;
-  const std::size_t n = std::min(traces.size(), cores_.size());
   out.reserve(n);
   for (std::size_t lane = 0; lane < n; ++lane) {
-    Flush(lane);
-    out.push_back(TakeBursts(lane));
+    lanes_[lane].Flush();
+    out.push_back(lanes_[lane].TakeBursts());
   }
   return out;
 }
 
 void SiftBatch::Reset() {
-  for (auto& core : cores_) core = SiftCoreState{};
-  tails_.assign(tails_.size(), 0.0);
-  for (auto& lane : completed_) lane.clear();
-}
-
-void SiftBatch::ResetLane(std::size_t lane) {
-  cores_.at(lane) = SiftCoreState{};
-  std::fill(tails_.begin() + static_cast<std::ptrdiff_t>(lane * window_),
-            tails_.begin() + static_cast<std::ptrdiff_t>((lane + 1) * window_),
-            0.0);
-  completed_.at(lane).clear();
-}
-
-const char* SiftBatch::kernel_name() const {
-  return sift_kernel::KernelName(AsKernel(kernel_));
+  for (SiftDetector& lane : lanes_) lane.Reset();
 }
 
 }  // namespace whitefi

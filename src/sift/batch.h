@@ -1,22 +1,14 @@
-// Batched multi-channel SIFT — N lanes through one pass.
+// Batched multi-channel SIFT — N lanes, one detector each.
 //
 // A wideband dwell (or a simulated multi-channel sweep) produces one
-// amplitude trace per channel; classifying them with N independent
-// `SiftDetector`s costs N kernel dispatches, N tail/scratch allocations,
-// and N cold passes over memory.  `SiftBatch` keeps the per-lane streaming
-// state as a structure of arrays — a `SiftCoreState` vector, one flat
-// chronological-tail array (lanes x window), one shared warmup scratch —
-// and runs the same resolved block kernel (scalar or AVX2, see
-// sift/kernel.h) across lanes back to back, so the kernel dispatch, the
-// threshold constants, and the scratch stay hot while lane data streams
-// through.
+// amplitude trace per channel.  `SiftBatch` holds one `SiftDetector` per
+// lane, all built from one configuration (so one kernel resolution), and
+// addresses them by lane index: a sweep keeps one batch alive and restarts
+// only the lane of the channel it dwells on.
 //
-// Semantics contract: a `SiftBatch` over N lanes is byte-identical to N
-// independent `SiftDetector`s fed the same per-lane blocks in any
-// chunking — the noise-floor gate, burst backdating, and flush behavior
-// are all per-lane (sift_simd_property_test pins this).  Lanes are
-// independent streams; there is no cross-lane coupling beyond shared
-// configuration.
+// Lanes are independent streams: a batch over N lanes is byte-identical
+// to N independent `SiftDetector`s fed the same per-lane blocks in any
+// chunking (sift_simd_property_test pins this).
 #pragma once
 
 #include <cstddef>
@@ -28,70 +20,59 @@
 
 namespace whitefi {
 
-/// Structure-of-arrays batch of SIFT lanes sharing one kernel pass.
+/// N SIFT lanes sharing one configuration.
 class SiftBatch {
  public:
   /// All lanes share one configuration (window, threshold, kernel choice).
+  /// Throws std::invalid_argument for zero lanes or a configuration
+  /// SiftDetector rejects.
   SiftBatch(const SiftParams& params, std::size_t lanes);
 
-  std::size_t lanes() const { return cores_.size(); }
+  std::size_t lanes() const { return lanes_.size(); }
 
   /// The shared configuration.
-  const SiftParams& params() const { return params_; }
+  const SiftParams& params() const { return lanes_.front().params(); }
 
   /// Processes one block of amplitude samples on one lane.
-  void ProcessBlock(std::size_t lane, std::span<const double> samples);
-
-  /// Processes one equal-length block per lane (blocks[i] feeds lane i).
-  /// Blocks may differ in length; empty spans are skipped.
-  void ProcessBlocks(std::span<const std::span<const double>> blocks);
+  void ProcessBlock(std::size_t lane, std::span<const double> samples) {
+    lanes_.at(lane).ProcessBlock(samples);
+  }
 
   /// Flushes one lane's in-progress burst (treats its stream as ended).
-  void Flush(std::size_t lane);
+  void Flush(std::size_t lane) { lanes_.at(lane).Flush(); }
 
   /// Flushes every lane.
   void FlushAll();
 
   /// Returns and clears the bursts completed so far on one lane.
-  std::vector<DetectedBurst> TakeBursts(std::size_t lane);
+  std::vector<DetectedBurst> TakeBursts(std::size_t lane) {
+    return lanes_.at(lane).TakeBursts();
+  }
 
-  /// One-shot: feeds traces[i] to lane i, flushes, and returns each lane's
-  /// bursts.  Lanes beyond traces.size() are left untouched.
+  /// One-shot: feeds traces[i] to lane i, then flushes and takes each
+  /// lane in order.  Lanes beyond traces.size() are left untouched.
   std::vector<std::vector<DetectedBurst>> DetectAll(
       std::span<const std::span<const double>> traces);
 
-  /// Resets every lane to the start-of-stream state (keeps configuration,
-  /// kernel resolution, and observability sinks).
+  /// Resets every lane to the start-of-stream state (see
+  /// SiftDetector::Reset).
   void Reset();
 
   /// Resets one lane to the start-of-stream state, leaving the other lanes'
   /// streams untouched — the persistent-batch idiom for sweeps where each
   /// dwell restarts only the lane of the channel it sits on.
-  void ResetLane(std::size_t lane);
+  void ResetLane(std::size_t lane) { lanes_.at(lane).Reset(); }
 
-  /// Name of the kernel the batch resolved to ("simd-avx2" or "scalar").
-  const char* kernel_name() const;
+  /// Name of the kernel the lanes resolved to (see
+  /// SiftDetector::kernel_name).
+  const char* kernel_name() const { return lanes_.front().kernel_name(); }
 
-  /// Attaches metrics/profiler sinks shared by all lanes (see
+  /// Attaches metrics/profiler sinks to every lane (see
   /// SiftDetector::SetObservability).
   void SetObservability(const Observability& obs);
 
  private:
-  SiftParams params_;
-  void* kernel_ = nullptr;  ///< Resolved once; shared by all lanes.
-  std::size_t window_ = 0;
-  double inv_window_ = 0.0;
-  double sum_threshold_ = 0.0;
-
-  std::vector<SiftCoreState> cores_;     ///< Lane edge-machine states.
-  std::vector<double> tails_;            ///< Flat lanes x window tails.
-  std::vector<double> merged_;           ///< Shared warmup scratch.
-  std::vector<std::vector<DetectedBurst>> completed_;  ///< Per lane.
-
-  // Observability (optional, shared across lanes).
-  PhaseProfiler* profiler_ = nullptr;
-  Counter* bursts_counter_ = nullptr;
-  Histogram* burst_us_ = nullptr;
+  std::vector<SiftDetector> lanes_;
 };
 
 }  // namespace whitefi

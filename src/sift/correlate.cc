@@ -117,38 +117,4 @@ std::optional<ChirpDetection> ChirpCorrelator::DetectDot(
   return best;
 }
 
-std::optional<ChirpDetection> ChirpCorrelator::Detect(
-    ChirpDetectMethod method, std::span<const double> samples) const {
-  switch (method) {
-    case ChirpDetectMethod::kNcc:
-      return DetectNcc(samples);
-    case ChirpDetectMethod::kDot:
-      return DetectDot(samples);
-    case ChirpDetectMethod::kOok:
-      break;
-  }
-  throw std::invalid_argument(
-      "ChirpCorrelator handles ncc/dot; ook is the SiftDetector path");
-}
-
-std::optional<ChirpDetectMethod> ChirpDetectMethodFromString(
-    std::string_view name) {
-  if (name == "ook") return ChirpDetectMethod::kOok;
-  if (name == "ncc") return ChirpDetectMethod::kNcc;
-  if (name == "dot") return ChirpDetectMethod::kDot;
-  return std::nullopt;
-}
-
-const char* ChirpDetectMethodName(ChirpDetectMethod method) {
-  switch (method) {
-    case ChirpDetectMethod::kOok:
-      return "ook";
-    case ChirpDetectMethod::kNcc:
-      return "ncc";
-    case ChirpDetectMethod::kDot:
-      return "dot";
-  }
-  return "unknown";
-}
-
 }  // namespace whitefi

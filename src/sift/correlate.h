@@ -25,16 +25,8 @@
 #include <cstddef>
 #include <optional>
 #include <span>
-#include <string_view>
 
 namespace whitefi {
-
-/// How a chirp start position is estimated from an amplitude trace.
-enum class ChirpDetectMethod {
-  kOok,  ///< SIFT edge detection (the paper's path; see sift/detector.h).
-  kNcc,  ///< Normalized cross-correlation against the on/off template.
-  kDot,  ///< Dot-product (on-region sum) correlation.
-};
 
 /// Template geometry and acceptance thresholds for the correlators.
 struct ChirpCorrelatorParams {
@@ -78,22 +70,10 @@ class ChirpCorrelator {
   std::optional<ChirpDetection> DetectDot(
       std::span<const double> samples) const;
 
-  /// Unified entry point; kOok is not handled here (it is the
-  /// SiftDetector path) and throws std::invalid_argument.
-  std::optional<ChirpDetection> Detect(ChirpDetectMethod method,
-                                       std::span<const double> samples) const;
-
   const ChirpCorrelatorParams& params() const { return params_; }
 
  private:
   ChirpCorrelatorParams params_;
 };
-
-/// Parses "ook" / "ncc" / "dot"; nullopt otherwise.
-std::optional<ChirpDetectMethod> ChirpDetectMethodFromString(
-    std::string_view name);
-
-/// The inverse of ChirpDetectMethodFromString.
-const char* ChirpDetectMethodName(ChirpDetectMethod method);
 
 }  // namespace whitefi

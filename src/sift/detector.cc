@@ -1,5 +1,6 @@
 #include "sift/detector.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "sift/kernel.h"
@@ -37,10 +38,8 @@ void SiftDetector::SetObservability(const Observability& obs) {
   burst_us_ = &obs.metrics->GetHistogram("whitefi.sift.burst_us");
 }
 
-void SiftDetector::ProcessBlock(std::span<const double> samples) {
-  ScopedPhaseTimer timer(profiler_, "sift.detect");
-  if (samples.empty()) return;
-  const sift_kernel::Config cfg{
+sift_kernel::Config SiftDetector::KernelConfig() const {
+  return {
       .window = tail_.size(),
       .threshold = params_.threshold,
       .sum_threshold = sum_threshold_,
@@ -49,23 +48,19 @@ void SiftDetector::ProcessBlock(std::span<const double> samples) {
       .bursts_counter = bursts_counter_,
       .burst_us = burst_us_,
   };
-  AsKernel(kernel_)(cfg, core_, tail_.data(), merged_, completed_,
+}
+
+void SiftDetector::ProcessBlock(std::span<const double> samples) {
+  ScopedPhaseTimer timer(profiler_, "sift.detect");
+  if (samples.empty()) return;
+  AsKernel(kernel_)(KernelConfig(), core_, tail_.data(), merged_, completed_,
                     samples.data(), samples.size());
 }
 
 void SiftDetector::Flush() {
   if (core_.in_burst) {
     core_.in_burst = false;
-    const sift_kernel::Config cfg{
-        .window = tail_.size(),
-        .threshold = params_.threshold,
-        .sum_threshold = sum_threshold_,
-        .inv_window = inv_window_,
-        .sample_period = params_.sample_period,
-        .bursts_counter = bursts_counter_,
-        .burst_us = burst_us_,
-    };
-    sift_kernel::EmitBurst(cfg, core_, completed_,
+    sift_kernel::EmitBurst(KernelConfig(), core_, completed_,
                            /*end_sample=*/core_.samples_seen);
   }
 }
@@ -74,6 +69,12 @@ std::vector<DetectedBurst> SiftDetector::TakeBursts() {
   std::vector<DetectedBurst> out;
   out.swap(completed_);
   return out;
+}
+
+void SiftDetector::Reset() {
+  core_ = SiftCoreState{};
+  std::fill(tail_.begin(), tail_.end(), 0.0);
+  completed_.clear();
 }
 
 std::vector<DetectedBurst> SiftDetector::Detect(

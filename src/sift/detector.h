@@ -30,11 +30,11 @@
 //    burst state machine collapsed when no lane can flip the state.
 //
 // Dispatch resolves per detector: an explicit SiftParams::kernel wins,
-// then the process-wide override (SetSiftKernelOverride, the benches'
-// --detector flag), then the WHITEFI_SIFT_KERNEL environment variable,
-// then the CPU probe.  Every path produces byte-identical bursts under
-// any chunking of the stream — one-sample blocks, USRP 2048-sample
-// blocks, or one shot (see sift_block_test and sift_simd_property_test).
+// then the WHITEFI_SIFT_KERNEL environment variable (see
+// sift_kernel::Resolve), then the CPU probe.  Every path produces
+// byte-identical bursts under any chunking of the stream — one-sample
+// blocks, USRP 2048-sample blocks, or one shot (see sift_block_test and
+// sift_simd_property_test).
 #pragma once
 
 #include <cstddef>
@@ -46,21 +46,18 @@
 
 namespace whitefi {
 
+namespace sift_kernel {
+struct Config;
+}  // namespace sift_kernel
+
 /// Which block kernel a detector runs.
 enum class SiftKernelChoice {
-  kAuto,    ///< Resolve via override, environment, then CPU probe.
+  kAuto,    ///< Resolve via WHITEFI_SIFT_KERNEL, then the CPU probe.
   kSimd,    ///< Best vector kernel for the host (throws where unsupported).
   kScalar,  ///< Force the portable scalar kernel.
   kAvx2,    ///< Force the 256-bit AVX2 kernel specifically.
   kAvx512,  ///< Force the 512-bit AVX-512 kernel specifically.
 };
-
-/// Process-wide kernel override consulted when a detector's params say
-/// kAuto — the `--detector=block|simd|scalar` flag sets this ("block" is
-/// the default automatic dispatch).  Thread-safety: set it before
-/// spawning workers; detectors read it at construction.
-void SetSiftKernelOverride(SiftKernelChoice choice);
-SiftKernelChoice GetSiftKernelOverride();
 
 /// SIFT detector configuration.
 struct SiftParams {
@@ -90,11 +87,9 @@ struct DetectedBurst {
   Us Duration() const { return end - start; }
 };
 
-/// Streaming per-lane state of the SIFT edge machine.  One lane per
-/// detector; `SiftBatch` keeps a structure-of-arrays of these so N
-/// channels share one pass.  The chronological `tail` buffer (last
-/// `window` samples, zero-filled before the stream starts) lives with the
-/// owner so a batch can pack all lanes' tails into one flat array.
+/// Streaming state of one SIFT edge machine, the part a block kernel
+/// keeps between blocks.  The chronological `tail` buffer (last `window`
+/// samples, zero-filled before the stream starts) is passed alongside it.
 struct SiftCoreState {
   std::size_t samples_seen = 0;
   bool in_burst = false;
@@ -123,6 +118,11 @@ class SiftDetector {
   /// Returns and clears the bursts completed so far.
   std::vector<DetectedBurst> TakeBursts();
 
+  /// Restarts the stream: drops any in-progress burst and any bursts not
+  /// yet taken, and zero-fills the tail.  Keeps the configuration, the
+  /// resolved kernel and the observability sinks.
+  void Reset();
+
   /// One-shot detection over a full trace (processes + flushes).
   std::vector<DetectedBurst> Detect(std::span<const double> samples);
 
@@ -139,6 +139,9 @@ class SiftDetector {
   void SetObservability(const Observability& obs);
 
  private:
+  /// The loop-invariant kernel inputs (sift/kernel.h).
+  sift_kernel::Config KernelConfig() const;
+
   SiftParams params_;
   /// Resolved block kernel (see sift/kernel.h); type-erased here to keep
   /// the kernel machinery out of this header.

@@ -1,21 +1,11 @@
 #include "sift/kernel.h"
 
 #include <algorithm>
-#include <atomic>
+#include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 #include "util/cpu.h"
-
-namespace whitefi {
-
-namespace {
-std::atomic<SiftKernelChoice> g_override{SiftKernelChoice::kAuto};
-}  // namespace
-
-void SetSiftKernelOverride(SiftKernelChoice choice) { g_override = choice; }
-SiftKernelChoice GetSiftKernelOverride() { return g_override; }
-
-}  // namespace whitefi
 
 namespace whitefi::sift_kernel {
 
@@ -210,19 +200,33 @@ void RunBlockScalar(const Config& cfg, SiftCoreState& core, double* tail,
   core.samples_seen += n;
 }
 
+std::optional<SiftKernelChoice> ParseKernelChoice(std::string_view name) {
+  if (name == "auto") return SiftKernelChoice::kAuto;
+  if (name == "simd") return SiftKernelChoice::kSimd;
+  if (name == "scalar") return SiftKernelChoice::kScalar;
+  if (name == "avx2") return SiftKernelChoice::kAvx2;
+  if (name == "avx512") return SiftKernelChoice::kAvx512;
+  return std::nullopt;
+}
+
+namespace {
+
+/// The WHITEFI_SIFT_KERNEL choice; the variable is read once per process.
+SiftKernelChoice EnvironmentChoice() {
+  static const std::string value = [] {
+    const char* env = std::getenv("WHITEFI_SIFT_KERNEL");
+    return std::string(env == nullptr ? "auto" : env);
+  }();
+  if (const auto choice = ParseKernelChoice(value)) return *choice;
+  throw std::invalid_argument(
+      "WHITEFI_SIFT_KERNEL='" + value +
+      "' names no SIFT kernel (expected auto, simd, scalar, avx2 or avx512)");
+}
+
+}  // namespace
+
 KernelFn Resolve(SiftKernelChoice choice) {
-  if (choice == SiftKernelChoice::kAuto) {
-    choice = GetSiftKernelOverride();
-  }
-  if (choice == SiftKernelChoice::kAuto) {
-    switch (SiftKernelEnvOverride()) {
-      case 1: choice = SiftKernelChoice::kSimd; break;
-      case 2: choice = SiftKernelChoice::kScalar; break;
-      case 3: choice = SiftKernelChoice::kAvx2; break;
-      case 4: choice = SiftKernelChoice::kAvx512; break;
-      default: break;
-    }
-  }
+  if (choice == SiftKernelChoice::kAuto) choice = EnvironmentChoice();
   if (choice == SiftKernelChoice::kAuto &&
       (CpuSupportsAvx512() || CpuSupportsAvx2())) {
     choice = SiftKernelChoice::kSimd;

@@ -1,7 +1,7 @@
 // The SIFT block kernels and their dispatch.
 //
-// Both `SiftDetector` (one lane) and `SiftBatch` (N lanes, one pass) run
-// the same kernel functions over a `SiftCoreState` plus owner-provided
+// Every `SiftDetector` (alone, or as one lane of a `SiftBatch`) runs one
+// of these kernel functions over its `SiftCoreState` plus its own
 // buffers.  Two implementations exist:
 //
 //  * RunBlockScalar — the portable kernel: the PR-3 block fast path
@@ -43,13 +43,15 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "sift/detector.h"
 
 namespace whitefi::sift_kernel {
 
-/// Loop-invariant kernel inputs, precomputed by the owning detector/batch.
+/// Loop-invariant kernel inputs, precomputed by the owning detector.
 struct Config {
   std::size_t window = 5;
   double threshold = 0.0;
@@ -88,12 +90,19 @@ void RunBlockAvx512(const Config& cfg, SiftCoreState& core, double* tail,
                     std::vector<DetectedBurst>& out, const double* x,
                     std::size_t n);
 
-/// Resolves a kernel choice to a callable kernel.  kAuto consults the
-/// process override, then WHITEFI_SIFT_KERNEL, then the CPU probe; kSimd
-/// means the widest vector kernel the host can run.  Throws
-/// std::invalid_argument when a vector kernel is forced on a host that
-/// cannot execute it (flag parsing surfaces this as a configuration
-/// error, exit 2).
+/// Parses a kernel name as the WHITEFI_SIFT_KERNEL environment variable
+/// spells it: "auto", "simd", "scalar", "avx2" or "avx512".  nullopt for
+/// any other string, the empty one included.
+std::optional<SiftKernelChoice> ParseKernelChoice(std::string_view name);
+
+/// Resolves a kernel choice to a callable kernel.  kAuto takes the
+/// WHITEFI_SIFT_KERNEL environment variable (read once per process; unset
+/// means auto), which lets any binary be diffed across kernel tiers
+/// without a rebuild, then the CPU probe; kSimd means the widest vector
+/// kernel the host can run.  Throws std::invalid_argument when kAuto
+/// meets a value ParseKernelChoice rejects (the message names the
+/// variable), and when a vector kernel is forced on a host that cannot
+/// execute it.
 KernelFn Resolve(SiftKernelChoice choice);
 
 /// Human-readable name of a resolved kernel ("simd-avx512" /

@@ -1,16 +1,14 @@
 // Incumbent users of the UHF band: TV broadcasts and wireless microphones.
 //
-// TV stations are static occupants.  Wireless microphones are the source of
-// *temporal variation* (paper Section 2.3): they can switch on at any time,
-// anywhere in the band, for unpredictable durations.  `IncumbentField`
-// combines both into a time-varying occupancy that drives the simulator's
-// scanners and the disconnection protocol.
+// TV stations are static occupants (a SpectrumMap).  Wireless microphones
+// are the source of *temporal variation* (paper Section 2.3): they can
+// switch on at any time, anywhere in the band, for unpredictable
+// durations.  A run takes its mics as a list of activations
+// (World::AddMic), which drive the simulator's scanners and the
+// disconnection protocol.
 #pragma once
 
-#include <vector>
-
 #include "spectrum/spectrum_map.h"
-#include "util/rng.h"
 #include "util/units.h"
 
 namespace whitefi {
@@ -20,54 +18,6 @@ struct MicActivation {
   UhfIndex channel = 0;
   Us on_time = 0.0;   ///< When the mic switches on (microseconds).
   Us off_time = 0.0;  ///< When the mic switches off; must be > on_time.
-
-  /// True iff the mic is transmitting at time `t`.
-  bool ActiveAt(Us t) const { return t >= on_time && t < off_time; }
-};
-
-/// Parameters for generating a random microphone schedule.
-struct MicScheduleParams {
-  double activations_per_hour_per_channel = 0.5;  ///< Poisson event rate.
-  Us mean_duration = 20.0 * 60.0 * kSecond;       ///< Mean on-duration (20 min).
-  Us horizon = 3600.0 * kSecond;                  ///< Schedule length (1 h).
-};
-
-/// Generates a random mic schedule over the channels free in `tv_map`
-/// (mics are not placed on top of TV stations).
-std::vector<MicActivation> GenerateMicSchedule(const SpectrumMap& tv_map,
-                                               const MicScheduleParams& params,
-                                               Rng& rng);
-
-/// Time-varying incumbent occupancy: static TV stations plus scheduled
-/// microphone activations.
-class IncumbentField {
- public:
-  /// Constructs from the static TV occupancy and a mic schedule.
-  IncumbentField(SpectrumMap tv_map, std::vector<MicActivation> mics);
-
-  /// The static TV-only map.
-  const SpectrumMap& TvMap() const { return tv_map_; }
-
-  /// The mic schedule.
-  const std::vector<MicActivation>& Mics() const { return mics_; }
-
-  /// Adds one mic activation.
-  void AddMic(const MicActivation& mic);
-
-  /// Occupancy snapshot at time `t` (TV plus any active mics).
-  SpectrumMap OccupancyAt(Us t) const;
-
-  /// True iff UHF channel `c` is incumbent-occupied at time `t`.
-  bool OccupiedAt(UhfIndex c, Us t) const;
-
-  /// The earliest mic on/off transition strictly after `t`, or a negative
-  /// value if there is none.  Used by the simulator to schedule
-  /// incumbent-change events.
-  Us NextTransitionAfter(Us t) const;
-
- private:
-  SpectrumMap tv_map_;
-  std::vector<MicActivation> mics_;
 };
 
 }  // namespace whitefi

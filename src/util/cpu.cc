@@ -1,8 +1,5 @@
 #include "util/cpu.h"
 
-#include <cstdlib>
-#include <string>
-
 namespace whitefi {
 
 bool CpuSupportsAvx2() {
@@ -26,20 +23,6 @@ bool CpuSupportsAvx512() {
 #else
   return false;
 #endif
-}
-
-int SiftKernelEnvOverride() {
-  static const int parsed = [] {
-    const char* env = std::getenv("WHITEFI_SIFT_KERNEL");
-    if (env == nullptr) return 0;
-    const std::string value(env);
-    if (value == "simd") return 1;
-    if (value == "scalar") return 2;
-    if (value == "avx2") return 3;
-    if (value == "avx512") return 4;
-    return 0;  // "auto" and anything unrecognized fall back to dispatch.
-  }();
-  return parsed;
 }
 
 }  // namespace whitefi

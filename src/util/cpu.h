@@ -1,19 +1,11 @@
 // CPU feature probing for runtime kernel dispatch.
 //
-// The SIFT signal kernels ship in two flavors — a portable scalar build
-// and an AVX2 build compiled with a per-function target attribute — and
-// pick between them at runtime.  This probe answers "may the AVX2 flavor
-// execute on this machine?" once, at first use, so hot loops never pay
-// for cpuid.
-//
-// Two layers of control:
-//  * compile time: a binary built with -mavx2 (or on a non-x86 target)
-//    resolves the answer as a constant;
-//  * runtime: on a plain x86 build the first call asks the CPU, and the
-//    WHITEFI_SIFT_KERNEL environment variable ("scalar" | "simd" |
-//    "auto") can force the dispatch for any binary — the CI dispatch
-//    matrix uses it to diff forced-scalar runs against AVX2 runs without
-//    rebuilding.
+// The SIFT block kernels ship as a portable scalar build plus AVX2 and
+// AVX-512 builds compiled with per-function target attributes, and
+// sift_kernel::Resolve picks between them at runtime.  These probes
+// answer "may this flavor execute on this machine?" once, at first use,
+// so hot loops never pay for cpuid.  A binary built with -mavx2 or
+// -mavx512f (or for a non-x86 target) gets the answer as a constant.
 #pragma once
 
 namespace whitefi {
@@ -27,11 +19,5 @@ bool CpuSupportsAvx2();
 /// 512-bit SIFT kernel needs only the foundation subset).  Same layering
 /// as CpuSupportsAvx2.
 bool CpuSupportsAvx512();
-
-/// The WHITEFI_SIFT_KERNEL environment override, parsed once at first
-/// call: 0 = auto (unset/"auto"/unrecognized), 1 = force simd (best
-/// vector kernel), 2 = force scalar, 3 = force the AVX2 kernel
-/// specifically, 4 = force the AVX-512 kernel specifically.
-int SiftKernelEnvOverride();
 
 }  // namespace whitefi

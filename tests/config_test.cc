@@ -195,6 +195,13 @@ TEST(ScenarioFile, Validation) {
   EXPECT_THROW(bench::LoadScenario(ConfigFile::ParseString(
                    "[background]\npairs = 1\nipd_ms = 0\n")),
                std::runtime_error);
+  // A mic that switches off before (or as) it switches on.
+  EXPECT_THROW(bench::LoadScenario(ConfigFile::ParseString(
+                   "[mic]\ntv_channel = 28\non_s = 4\noff_s = 3\n")),
+               std::runtime_error);
+  EXPECT_THROW(bench::LoadScenario(ConfigFile::ParseString(
+                   "[mic]\ntv_channel = 28\non_s = 4\noff_s = 4\n")),
+               std::runtime_error);
 }
 
 TEST(ScenarioFile, UnknownKeysSurfaceTyposButNotConsumedSections) {

@@ -20,6 +20,7 @@
 #include <sched.h>
 #endif
 
+#include "flags.h"
 #include "scenario.h"
 #include "spectrum/campus.h"
 #include "util/parallel.h"
@@ -303,6 +304,36 @@ TEST(ParseJobs, ParsesCountsAndRejectsGarbage) {
   EXPECT_GE(HardwareJobs(), 1);
   EXPECT_THROW(ParseJobs("abc"), std::invalid_argument);
   EXPECT_THROW(ParseJobs("-3"), std::invalid_argument);
+}
+
+/// Runs JobsFromArgs over `args` (argv[0] is supplied).
+int JobsFrom(std::vector<std::string> args,
+             std::string* trace_jsonl = nullptr) {
+  args.insert(args.begin(), "bench");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  return bench::JobsFromArgs(static_cast<int>(argv.size()), argv.data(),
+                             trace_jsonl);
+}
+
+TEST(BenchFlags, ReadJobsAndTheFlagsADriverNames) {
+  EXPECT_EQ(JobsFrom({}), 1);
+  EXPECT_EQ(JobsFrom({"--jobs", "3"}), 3);
+  EXPECT_EQ(JobsFrom({"--jobs=2"}), 2);
+  std::string trace;
+  EXPECT_EQ(JobsFrom({"--trace-jsonl", "t.jsonl", "--jobs", "4"}, &trace), 4);
+  EXPECT_EQ(trace, "t.jsonl");
+}
+
+TEST(BenchFlagsDeathTest, AFlagTheDriverDoesNotReadExitsTwo) {
+  EXPECT_EXIT(JobsFrom({"--detector", "scalar"}),
+              ::testing::ExitedWithCode(2), "unknown argument '--detector'");
+  EXPECT_EXIT(JobsFrom({"--detectr=scalar"}), ::testing::ExitedWithCode(2),
+              "--detectr=scalar");
+  EXPECT_EXIT(JobsFrom({"--trace-jsonl", "t.jsonl"}),
+              ::testing::ExitedWithCode(2), "--trace-jsonl");
+  EXPECT_EXIT(JobsFrom({"--jobs"}), ::testing::ExitedWithCode(2),
+              "--jobs needs a value");
 }
 
 // The end-to-end contract at the scenario layer: an OPT candidate sweep —

@@ -145,6 +145,24 @@ EOF
 expect_exit 1 "inverted mobility speed range" \
   "$CLI" --config "$TMP/mobility_bad.conf"
 
+# A mic that switches off before it switches on would never vacate its
+# channel; the loader refuses it, also under --strict --audit.
+cat >"$TMP/mic_inverted.conf" <<EOF
+seed = 11
+seconds = 6
+map.name = building5
+network.clients = 2
+mic.tv_channel = 28
+mic.on_s = 4
+mic.off_s = 3
+EOF
+expect_exit 1 "mic off before on" \
+  "$CLI" --config "$TMP/mic_inverted.conf" --strict --audit
+grep -q "mic.off_s" "$TMP/err" || {
+  cat "$TMP/err" >&2
+  fail "the error must name mic.off_s"
+}
+
 # [city] / [shards] sections: a valid city-scale scenario runs on the
 # sharded engine (exit 0, any --shards), misspelled city/shards keys are
 # caught by --strict (exit 2), a bad --shards value is a flag error

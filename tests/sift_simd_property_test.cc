@@ -11,10 +11,17 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
+#include "obs/metrics.h"
+#include "obs/phase_timer.h"
 #include "sift/batch.h"
 #include "sift/detector.h"
+#include "sift/kernel.h"
 #include "util/cpu.h"
 #include "util/rng.h"
 
@@ -207,6 +214,133 @@ TEST(SiftSimdProperty, BatchDetectAllMatchesOneShotDetectors) {
     ExpectIdentical(batched[lane], detector.Detect(traces[lane]),
                     "lane " + std::to_string(lane));
   }
+}
+
+/// Per-lane streams split at a restart point: `head` is fed before the
+/// restart and ends inside a strong burst; `tail` is fed after it and opens
+/// with one, so state leaking across the restart shows in the bursts.
+struct SplitStream {
+  std::vector<double> head;
+  std::vector<double> tail;
+};
+
+std::vector<SplitStream> SplitStreams(Rng& rng, std::size_t lanes,
+                                      double threshold) {
+  std::vector<SplitStream> streams(lanes);
+  for (SplitStream& stream : streams) {
+    stream.head = AdversarialTrace(rng, 3000, threshold);
+    stream.head.insert(stream.head.end(), 20, threshold * 10.0);
+    stream.tail.assign(12, threshold * 10.0);
+    const auto rest = AdversarialTrace(rng, 3000, threshold);
+    stream.tail.insert(stream.tail.end(), rest.begin(), rest.end());
+  }
+  return streams;
+}
+
+/// What a detector that saw `samples` as one unbroken stream reports.
+std::vector<DetectedBurst> FreshBursts(const SiftParams& params,
+                                       const std::vector<double>& samples) {
+  SiftDetector detector{params};
+  return detector.Detect(samples);
+}
+
+std::vector<double> Joined(const SplitStream& stream) {
+  std::vector<double> joined = stream.head;
+  joined.insert(joined.end(), stream.tail.begin(), stream.tail.end());
+  return joined;
+}
+
+TEST(SiftBatchLanes, ResetLaneRestartsOnlyThatLane) {
+  Rng rng(8080);
+  const SiftParams params;
+  constexpr std::size_t kLanes = 3;
+  constexpr std::size_t kReset = 1;
+  const auto streams = SplitStreams(rng, kLanes, params.threshold);
+
+  SiftBatch batch(params, kLanes);
+  for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    batch.ProcessBlock(lane, streams[lane].head);
+  }
+  batch.ResetLane(kReset);
+  for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    batch.ProcessBlock(lane, streams[lane].tail);
+  }
+  batch.FlushAll();
+  for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    const auto expected = lane == kReset
+                              ? FreshBursts(params, streams[lane].tail)
+                              : FreshBursts(params, Joined(streams[lane]));
+    ExpectIdentical(batch.TakeBursts(lane), expected,
+                    "lane " + std::to_string(lane));
+  }
+}
+
+TEST(SiftBatchLanes, ResetRestartsEveryLane) {
+  Rng rng(9090);
+  const SiftParams params;
+  constexpr std::size_t kLanes = 4;
+  const auto streams = SplitStreams(rng, kLanes, params.threshold);
+
+  SiftBatch batch(params, kLanes);
+  for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    batch.ProcessBlock(lane, streams[lane].head);
+  }
+  batch.Reset();
+  std::vector<std::span<const double>> tails;
+  for (const SplitStream& stream : streams) tails.emplace_back(stream.tail);
+  const auto bursts = batch.DetectAll(tails);
+  ASSERT_EQ(bursts.size(), kLanes);
+  for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    ExpectIdentical(bursts[lane], FreshBursts(params, streams[lane].tail),
+                    "lane " + std::to_string(lane));
+  }
+}
+
+TEST(SiftBatchLanes, ObservabilityCoversEveryLaneUntilDetached) {
+  Rng rng(7070);
+  const SiftParams params;
+  constexpr std::size_t kLanes = 3;
+  std::vector<std::vector<double>> traces;
+  for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    traces.push_back(AdversarialTrace(rng, 6000, params.threshold));
+  }
+  const std::vector<std::span<const double>> spans(traces.begin(),
+                                                   traces.end());
+
+  SiftBatch batch(params, kLanes);
+  MetricsRegistry metrics;
+  PhaseProfiler profiler;
+  batch.SetObservability({.metrics = &metrics, .profiler = &profiler});
+  const auto bursts = batch.DetectAll(spans);
+  std::uint64_t emitted = 0;
+  for (const auto& lane : bursts) emitted += lane.size();
+  ASSERT_GT(emitted, 0u);
+  const Counter& counter = metrics.GetCounter("whitefi.sift.bursts");
+  EXPECT_EQ(counter.value(), emitted);
+  EXPECT_EQ(metrics.GetHistogram("whitefi.sift.burst_us").distribution()
+                .Count(),
+            emitted);
+  EXPECT_EQ(profiler.phases().at("sift.detect").count, kLanes);
+
+  batch.SetObservability(Observability{});
+  batch.Reset();
+  const auto again = batch.DetectAll(spans);
+  for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    ExpectIdentical(again[lane], bursts[lane], "lane " + std::to_string(lane));
+  }
+  EXPECT_EQ(counter.value(), emitted);
+  EXPECT_EQ(profiler.phases().at("sift.detect").count, kLanes);
+}
+
+TEST(SiftSimdProperty, KernelNamesParseAsTheEnvironmentSpellsThem) {
+  using sift_kernel::ParseKernelChoice;
+  EXPECT_EQ(ParseKernelChoice("auto"), SiftKernelChoice::kAuto);
+  EXPECT_EQ(ParseKernelChoice("simd"), SiftKernelChoice::kSimd);
+  EXPECT_EQ(ParseKernelChoice("scalar"), SiftKernelChoice::kScalar);
+  EXPECT_EQ(ParseKernelChoice("avx2"), SiftKernelChoice::kAvx2);
+  EXPECT_EQ(ParseKernelChoice("avx512"), SiftKernelChoice::kAvx512);
+  EXPECT_EQ(ParseKernelChoice("scaler"), std::nullopt);
+  EXPECT_EQ(ParseKernelChoice(""), std::nullopt);
 }
 
 TEST(SiftSimdProperty, ForcedVectorKernelsThrowWhereUnsupported) {

@@ -1,12 +1,11 @@
 // Unit + property tests for the spectrum model: UHF channels, WhiteFi
-// channels, spectrum maps, incumbents, locales, and the campus model.
+// channels, spectrum maps, locales, and the campus model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "spectrum/campus.h"
 #include "spectrum/channel.h"
-#include "spectrum/incumbents.h"
 #include "spectrum/locales.h"
 #include "spectrum/spectrum_map.h"
 #include "spectrum/uhf.h"
@@ -321,60 +320,6 @@ TEST_P(FragmentProperty, FragmentsPartitionFreeChannels) {
 
 INSTANTIATE_TEST_SUITE_P(RandomMaps, FragmentProperty,
                          ::testing::Range(0, 40));
-
-// ------------------------------------------------------------ incumbents --
-
-TEST(Incumbents, MicActivationWindow) {
-  const MicActivation mic{5, 100.0, 200.0};
-  EXPECT_FALSE(mic.ActiveAt(99.0));
-  EXPECT_TRUE(mic.ActiveAt(100.0));
-  EXPECT_TRUE(mic.ActiveAt(199.9));
-  EXPECT_FALSE(mic.ActiveAt(200.0));
-}
-
-TEST(Incumbents, FieldOccupancyOverTime) {
-  const auto tv = SpectrumMap::FromOccupiedIndices({0});
-  IncumbentField field(tv, {MicActivation{5, 100.0, 200.0}});
-  EXPECT_TRUE(field.OccupiedAt(0, 50.0));
-  EXPECT_FALSE(field.OccupiedAt(5, 50.0));
-  EXPECT_TRUE(field.OccupiedAt(5, 150.0));
-  EXPECT_FALSE(field.OccupiedAt(5, 250.0));
-  EXPECT_EQ(field.OccupancyAt(150.0).NumOccupied(), 2);
-  EXPECT_EQ(field.OccupancyAt(250.0).NumOccupied(), 1);
-}
-
-TEST(Incumbents, NextTransition) {
-  IncumbentField field(SpectrumMap{}, {MicActivation{3, 100.0, 200.0},
-                                       MicActivation{4, 150.0, 300.0}});
-  EXPECT_DOUBLE_EQ(field.NextTransitionAfter(0.0), 100.0);
-  EXPECT_DOUBLE_EQ(field.NextTransitionAfter(100.0), 150.0);
-  EXPECT_DOUBLE_EQ(field.NextTransitionAfter(250.0), 300.0);
-  EXPECT_LT(field.NextTransitionAfter(1000.0), 0.0);
-}
-
-TEST(Incumbents, InvalidMicsRejected) {
-  EXPECT_THROW(IncumbentField(SpectrumMap{}, {MicActivation{40, 0.0, 1.0}}),
-               std::out_of_range);
-  EXPECT_THROW(IncumbentField(SpectrumMap{}, {MicActivation{3, 5.0, 5.0}}),
-               std::invalid_argument);
-  IncumbentField field(SpectrumMap{}, {});
-  EXPECT_THROW(field.AddMic(MicActivation{3, 10.0, 4.0}),
-               std::invalid_argument);
-}
-
-TEST(Incumbents, GeneratedScheduleRespectsTvMapAndHorizon) {
-  Rng rng(21);
-  const auto tv = SpectrumMap::FromOccupiedIndices({0, 1, 2, 3, 4});
-  MicScheduleParams params;
-  params.activations_per_hour_per_channel = 4.0;
-  const auto mics = GenerateMicSchedule(tv, params, rng);
-  EXPECT_FALSE(mics.empty());
-  for (const MicActivation& mic : mics) {
-    EXPECT_TRUE(tv.Free(mic.channel)) << "mic on a TV channel";
-    EXPECT_LT(mic.on_time, params.horizon);
-    EXPECT_GT(mic.off_time, mic.on_time);
-  }
-}
 
 // -------------------------------------------------------------- locales ---
 
