@@ -20,11 +20,13 @@
 // hardened chirp backoff strictly improves p95 reconnect time over
 // fixed-interval chirping, reproducibly from the pinned default seed.
 //
-// Flags: --trials N (default 10), --seed S (default 1), --clients N
-// (default 4), --trace PREFIX (dump trial 0 of each arm as JSONL),
-// --jobs N (parallel trials per arm; any N is byte-identical to 1) — CI
-// runs a reduced soak under sanitizers.  Exit status 0 iff the hardened
-// backoff arm's p95 beats fixed-interval chirping.
+// Flags (each value flag also takes the `--flag=value` form): --trials N
+// (N >= 1, default 10), --seed S (unsigned, default 1), --clients N (N >= 1,
+// default 4), --trace PREFIX (dump trial 0 of each arm as JSONL), --jobs N
+// (parallel trials per arm; any N is byte-identical to 1) — CI runs a
+// reduced soak under sanitizers — plus --geodb and --json PATH below.
+// Exit status: 0 iff the acceptance holds (--geodb: every degraded session
+// recovered), 1 when it fails or a file cannot be written, 2 bad flags.
 //
 // --geodb additionally runs every trial with the simulated geo-db
 // service, mobile clients, and a DB outage spanning the disconnect storm:
@@ -35,12 +37,10 @@
 // rescued fraction, geo-db recovery ratio) — the committed baseline
 // (BENCH_chaos_geodb.json) is gated by bench/compare_bench.py, turning a
 // recovery-latency regression into a red build.
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <optional>
-#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "flags.h"
@@ -76,6 +76,7 @@ struct ArmResult {
   long long geodb_recovered = 0;
   std::uint64_t geodb_queries = 0;
   std::uint64_t geodb_pushes = 0;
+  std::shared_ptr<EventTrace> trace;  ///< Trial 0's, with --trace.
 };
 
 ScenarioConfig MakeConfig(const Arm& arm, std::uint64_t seed, int clients,
@@ -106,8 +107,8 @@ ScenarioConfig MakeConfig(const Arm& arm, std::uint64_t seed, int clients,
 
   ClientParams client;
   // A battery-conscious chirp cadence (1 s rather than the prototype's
-  // 150 ms firehose).  The period now exceeds the AP's 300 ms chirp-watch
-  // dwell and divides its 3 s visit interval — precisely the regime where
+  // 150 ms firehose).  The period exceeds the AP's 400 ms chirp-watch
+  // dwell and divides its 2 s visit interval — precisely the regime where
   // a deterministic chirp cycle can phase-lock against the scanner and
   // systematically miss every rescue window.  The storm disconnects all
   // clients on the same tick, so without jitter their phases are also
@@ -192,8 +193,7 @@ struct TrialOutcome {
 };
 
 ArmResult RunArm(const Arm& arm, std::uint64_t seed0, int trials,
-                 int clients, const std::string& trace_prefix, int jobs,
-                 bool geodb) {
+                 int clients, bool trace, int jobs, bool geodb) {
   ArmResult out;
   // The storm's arrival phase relative to the chirp/scan cycles decides
   // whether a deterministic chirper is caught or stranded, so it must be
@@ -217,7 +217,7 @@ ArmResult RunArm(const Arm& arm, std::uint64_t seed0, int trials,
                        outcome.storm_at_s, geodb);
         // --trace: dump trial 0's protocol-level story (chirps, switches,
         // faults) as JSONL for post-mortem of a pathological arm.
-        if (!trace_prefix.empty() && t == 0) {
+        if (trace && t == 0) {
           EventTraceOptions trace_options;
           trace_options.only = {
               TraceEventKind::kChirp,        TraceEventKind::kChannelSwitch,
@@ -234,13 +234,7 @@ ArmResult RunArm(const Arm& arm, std::uint64_t seed0, int trials,
   // Serial fold in trial order: histogram insertion order is part of the
   // byte-identity contract.
   for (const TrialOutcome& outcome : outcomes) {
-    if (outcome.trace != nullptr) {
-      const std::string path = trace_prefix + arm.label + ".jsonl";
-      std::ofstream os(path);
-      outcome.trace->WriteJsonl(os);
-      std::cerr << "trace: " << path << " ("
-                << outcome.trace->events().size() << " events)\n";
-    }
+    if (outcome.trace != nullptr) out.trace = outcome.trace;
     const RunResult& run = outcome.run;
     for (double outage_s : run.outages_s) out.outages.Add(outage_s);
     out.disconnects += run.disconnects;
@@ -262,53 +256,34 @@ ArmResult RunArm(const Arm& arm, std::uint64_t seed0, int trials,
   return out;
 }
 
-/// Google-benchmark-compatible JSON report.  Every "throughput" here is a
+/// The --json report's entries.  Every "throughput" here is a
 /// deterministic function of the simulation (same seed = same bytes), so
 /// bench/compare_bench.py can gate it against a committed baseline with a
 /// tight threshold: a drop in 1/p95 IS a recovery-latency regression, not
 /// machine noise.
-void WriteJsonReport(std::ostream& os, const std::vector<Arm>& arms,
-                     const std::vector<ArmResult>& results, int trials,
-                     int clients, std::uint64_t seed, bool geodb) {
-  os.setf(std::ios::fixed);
-  os.precision(6);
-  os << "{\n \"context\": {\n"
-     << "  \"executable\": \"bench_chaos_recovery\",\n"
-     << "  \"whitefi_trials\": " << trials << ",\n"
-     << "  \"whitefi_clients\": " << clients << ",\n"
-     << "  \"whitefi_seed\": " << seed << ",\n"
-     << "  \"whitefi_geodb\": " << (geodb ? "true" : "false") << "\n"
-     << " },\n \"benchmarks\": [\n";
-  bool first = true;
-  auto entry = [&](const std::string& name, double rate) {
-    if (!first) os << ",\n";
-    first = false;
-    os << "  {\n   \"name\": \"" << name << "\",\n"
-       << "   \"run_name\": \"" << name << "\",\n"
-       << "   \"run_type\": \"iteration\",\n"
-       << "   \"iterations\": 1,\n"
-       << "   \"real_time\": " << (rate > 0.0 ? 1.0 / rate : 0.0) << ",\n"
-       << "   \"cpu_time\": " << (rate > 0.0 ? 1.0 / rate : 0.0) << ",\n"
-       << "   \"time_unit\": \"s\",\n"
-       << "   \"items_per_second\": " << rate << "\n  }";
-  };
+std::vector<std::pair<std::string, double>> JsonEntries(
+    const std::vector<Arm>& arms, const std::vector<ArmResult>& results,
+    bool geodb) {
+  std::vector<std::pair<std::string, double>> entries;
   for (std::size_t a = 0; a < arms.size(); ++a) {
     const ArmResult& r = results[a];
     const std::string prefix = "chaos/" + arms[a].label + "/";
     const double p95 = r.outages.Percentile(95);
-    entry(prefix + "recovery_p95_inv", p95 > 0.0 ? 1.0 / p95 : 0.0);
+    entries.emplace_back(prefix + "recovery_p95_inv",
+                         p95 > 0.0 ? 1.0 / p95 : 0.0);
     const double samples = static_cast<double>(r.outages.Count());
-    entry(prefix + "rescued_frac",
-          samples > 0.0 ? (samples - r.unrecovered) / samples : 0.0);
+    entries.emplace_back(
+        prefix + "rescued_frac",
+        samples > 0.0 ? (samples - r.unrecovered) / samples : 0.0);
     if (geodb) {
-      entry(prefix + "geodb_recovered_per_degraded",
-            r.geodb_degraded > 0
-                ? static_cast<double>(r.geodb_recovered) /
-                      static_cast<double>(r.geodb_degraded)
-                : 0.0);
+      entries.emplace_back(prefix + "geodb_recovered_per_degraded",
+                           r.geodb_degraded > 0
+                               ? static_cast<double>(r.geodb_recovered) /
+                                     static_cast<double>(r.geodb_degraded)
+                               : 0.0);
     }
   }
-  os << "\n ]\n}\n";
+  return entries;
 }
 
 int Main(int argc, char** argv) {
@@ -319,33 +294,10 @@ int Main(int argc, char** argv) {
   std::string trace_prefix;
   std::string json_path;
   bool geodb = false;
-  try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string flag = argv[i];
-      auto next = [&]() -> const char* {
-        if (i + 1 >= argc) {
-          throw std::invalid_argument(flag + " needs a value");
-        }
-        return argv[++i];
-      };
-      if (flag == "--trials") trials = std::stoi(next());
-      else if (flag == "--seed") seed = std::stoull(next());
-      else if (flag == "--clients") clients = std::stoi(next());
-      else if (flag == "--trace") trace_prefix = next();
-      else if (flag == "--jobs") jobs = ParseJobs(next());
-      else if (flag == "--geodb") geodb = true;
-      else if (flag == "--json") json_path = next();
-      else {
-        std::cerr << "usage: bench_chaos_recovery [--trials N] [--seed S] "
-                     "[--clients N] [--trace PREFIX] [--jobs N] [--geodb] "
-                     "[--json PATH]\n";
-        return 2;
-      }
-    }
-  } catch (const std::exception& error) {
-    std::cerr << "error: " << error.what() << "\n";
-    return 2;
-  }
+  ParseFlags(argc, argv,
+             {Number("--trials", trials, 1), Number("--seed", seed),
+              Number("--clients", clients, 1), Text("--trace", trace_prefix),
+              Jobs(jobs), Switch("--geodb", geodb), Text("--json", json_path)});
 
   std::cout << "Chaos soak: reconnect time under a " << clients
             << "-client disconnect storm + fault injection\n"
@@ -372,8 +324,17 @@ int Main(int argc, char** argv) {
   std::vector<ArmResult> results;
   for (const Arm& arm : arms) {
     results.push_back(
-        RunArm(arm, seed, trials, clients, trace_prefix, jobs, geodb));
+        RunArm(arm, seed, trials, clients, !trace_prefix.empty(), jobs, geodb));
     const ArmResult& r = results.back();
+    if (r.trace != nullptr) {
+      const std::string path = trace_prefix + arm.label + ".jsonl";
+      if (!WriteOutput("trace", path,
+                       [&](std::ostream& os) { r.trace->WriteJsonl(os); })) {
+        return 1;
+      }
+      std::cerr << "trace: " << path << " (" << r.trace->events().size()
+                << " events)\n";
+    }
     table.AddRow({arm.label, std::to_string(r.outages.Count()),
                   FormatDouble(r.outages.Percentile(50), 2),
                   FormatDouble(r.outages.Percentile(90), 2),
@@ -409,8 +370,17 @@ int Main(int argc, char** argv) {
               << " recovered transitions\n";
   }
   if (!json_path.empty()) {
-    std::ofstream os(json_path);
-    WriteJsonReport(os, arms, results, trials, clients, seed, geodb);
+    const std::vector<std::pair<std::string, std::string>> context{
+        {"executable", "\"bench_chaos_recovery\""},
+        {"whitefi_trials", std::to_string(trials)},
+        {"whitefi_clients", std::to_string(clients)},
+        {"whitefi_seed", std::to_string(seed)},
+        {"whitefi_geodb", geodb ? "true" : "false"}};
+    if (!WriteOutput("json report", json_path, [&](std::ostream& os) {
+          WriteBenchReport(os, context, JsonEntries(arms, results, geodb));
+        })) {
+      return 1;
+    }
     std::cout << "json report: " << json_path << "\n";
   }
   // Acceptance.  Default: the backoff hardening beats fixed-interval

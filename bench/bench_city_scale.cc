@@ -10,10 +10,15 @@
 //   stderr  wall-clock timing and the scaling table (events/s, speedup
 //           vs the first count) — machine-dependent, never diffed.
 //
-// Flags: --shards N (single count), --sweep 1,2,4,8 (several counts in
-// one process; the driver additionally asserts the summaries match
-// byte-for-byte), --aps N, --clients-per-ap N, --seconds S, --seed S,
-// --roams N, --mics N, --audit, --json PATH.
+// Flags (each value flag also takes the `--flag=value` form): --shards N
+// (single count), --sweep 1,2,4,8 (several counts in one process; the
+// driver additionally asserts the summaries match byte-for-byte), each
+// count >= 1; --aps N, --clients-per-ap N, --roams N, --mics N (checked
+// by shard::ValidateCityParams before any run); --seconds S (> 0);
+// --seed S (unsigned); --audit; --json PATH.
+//
+// Exit status: 0 success, 1 a summary or audit mismatch or an unwritable
+// --json file, 2 a bad flag, value or city.
 //
 // --json PATH writes a google-benchmark-compatible report with two kinds
 // of entries:
@@ -31,33 +36,29 @@
 //                           city/shards_1/wall:city/shards_4/wall:R,
 //                           which cancels runner speed out.
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "flags.h"
 #include "shard/engine.h"
 #include "util/report.h"
 
 namespace whitefi::bench {
 namespace {
 
-struct SweepPoint {
+struct RunOutput {
+  std::string summary;
   int shards = 1;
   double wall_s = 0.0;
   std::uint64_t events = 0;
-};
-
-struct RunOutput {
-  std::string summary;
-  SweepPoint point;
   bool audit_ok = true;
   std::uint64_t app_bytes = 0;
   std::uint64_t transmissions = 0;
   std::uint64_t ghosts = 0;
   std::uint64_t messages = 0;
-  std::uint64_t roams = 0;
 };
 
 RunOutput RunOnce(const shard::CityParams& city, int shards, bool audit,
@@ -71,15 +72,14 @@ RunOutput RunOnce(const shard::CityParams& city, int shards, bool audit,
   const auto t1 = std::chrono::steady_clock::now();
   RunOutput out;
   out.summary = engine.SummaryText();
-  out.point.shards = shards;
-  out.point.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  out.point.events = engine.EventsProcessed();
+  out.shards = shards;
+  out.wall_s = std::chrono::duration<double>(t1 - t0).count();
+  out.events = engine.EventsProcessed();
   out.audit_ok = !audit || engine.audit_ok();
   out.app_bytes = engine.AppBytesTotal();
   out.transmissions = engine.Transmissions();
   out.ghosts = engine.ghosts_injected();
   out.messages = engine.messages_shipped();
-  out.roams = engine.roams_applied();
   return out;
 }
 
@@ -87,52 +87,37 @@ RunOutput RunOnce(const shard::CityParams& city, int shards, bool audit,
 /// deterministic per-simulated-second rates (same scenario = same bytes);
 /// the city/shards_N/wall entries carry real wall-clock throughput.
 void WriteJsonReport(std::ostream& os, const shard::CityParams& city,
-                     double seconds, const RunOutput& base,
-                     const std::vector<SweepPoint>& sweep) {
-  os.setf(std::ios::fixed);
-  os.precision(6);
-  os << "{\n \"context\": {\n"
-     << "  \"executable\": \"bench_city_scale\",\n"
-#ifdef WHITEFI_BUILD_TYPE
-     << "  \"whitefi_build_type\": \"" << WHITEFI_BUILD_TYPE << "\",\n"
-#endif
-     << "  \"whitefi_aps\": " << city.num_aps << ",\n"
-     << "  \"whitefi_clients_per_ap\": " << city.clients_per_ap << ",\n"
-     << "  \"whitefi_roams\": " << city.num_roams << ",\n"
-     << "  \"whitefi_mics\": " << city.num_mics << ",\n"
-     << "  \"whitefi_seconds\": " << seconds << ",\n"
-     << "  \"whitefi_seed\": " << city.seed << "\n"
-     << " },\n \"benchmarks\": [\n";
-  bool first = true;
-  auto entry = [&](const std::string& name, double rate) {
-    if (!first) os << ",\n";
-    first = false;
-    os << "  {\n   \"name\": \"" << name << "\",\n"
-       << "   \"run_name\": \"" << name << "\",\n"
-       << "   \"run_type\": \"iteration\",\n"
-       << "   \"iterations\": 1,\n"
-       << "   \"real_time\": " << (rate > 0.0 ? 1.0 / rate : 0.0) << ",\n"
-       << "   \"cpu_time\": " << (rate > 0.0 ? 1.0 / rate : 0.0) << ",\n"
-       << "   \"time_unit\": \"s\",\n"
-       << "   \"items_per_second\": " << rate << "\n  }";
-  };
+                     double seconds, const std::vector<RunOutput>& runs) {
+  // WHITEFI_BUILD_TYPE comes from bench/CMakeLists.txt.
+  const std::vector<std::pair<std::string, std::string>> context{
+      {"executable", "\"bench_city_scale\""},
+      {"whitefi_build_type", "\"" WHITEFI_BUILD_TYPE "\""},
+      {"whitefi_aps", std::to_string(city.num_aps)},
+      {"whitefi_clients_per_ap", std::to_string(city.clients_per_ap)},
+      {"whitefi_roams", std::to_string(city.num_roams)},
+      {"whitefi_mics", std::to_string(city.num_mics)},
+      {"whitefi_seconds", FormatDouble(seconds, 6)},
+      {"whitefi_seed", std::to_string(city.seed)}};
   // Deterministic per-simulated-second rates: the committed baseline.
-  entry("city/events", static_cast<double>(base.point.events) / seconds);
-  entry("city/app_bytes", static_cast<double>(base.app_bytes) / seconds);
-  entry("city/transmissions",
-        static_cast<double>(base.transmissions) / seconds);
-  entry("city/ghosts", static_cast<double>(base.ghosts) / seconds);
-  entry("city/messages", static_cast<double>(base.messages) / seconds);
+  const RunOutput& base = runs[0];
+  std::vector<std::pair<std::string, double>> entries{
+      {"city/events", static_cast<double>(base.events) / seconds},
+      {"city/app_bytes", static_cast<double>(base.app_bytes) / seconds},
+      {"city/transmissions",
+       static_cast<double>(base.transmissions) / seconds},
+      {"city/ghosts", static_cast<double>(base.ghosts) / seconds},
+      {"city/messages", static_cast<double>(base.messages) / seconds}};
   // Machine-dependent wall-clock throughput per swept shard count: never
   // committed, gated only intra-report (--speedup) so runner speed
   // cancels out.
-  for (const SweepPoint& p : sweep) {
+  for (const RunOutput& r : runs) {
     // Underscore, not a colon: the name must survive compare_bench's
     // colon-separated --speedup BASE:VARIANT:MINRATIO specs.
-    entry("city/shards_" + std::to_string(p.shards) + "/wall",
-          p.wall_s > 0.0 ? static_cast<double>(p.events) / p.wall_s : 0.0);
+    entries.emplace_back(
+        "city/shards_" + std::to_string(r.shards) + "/wall",
+        r.wall_s > 0.0 ? static_cast<double>(r.events) / r.wall_s : 0.0);
   }
-  os << "\n ]\n}\n";
+  WriteBenchReport(os, context, entries);
 }
 
 int Main(int argc, char** argv) {
@@ -141,53 +126,23 @@ int Main(int argc, char** argv) {
   double seconds = 3.0;
   bool audit = false;
   std::string json_path;
-  std::vector<int> counts;
+  std::vector<int> counts{1};
+  ParseFlags(
+      argc, argv,
+      {{"--shards",
+        [&](const std::string& value) {
+          counts.assign(1, ParseValue<int>("--shards", value, 1));
+        }},
+       List("--sweep", counts, 1), Number("--aps", city.num_aps),
+       Number("--clients-per-ap", city.clients_per_ap),
+       Number("--roams", city.num_roams), Number("--mics", city.num_mics),
+       Number("--seconds", seconds), Number("--seed", city.seed),
+       Switch("--audit", audit), Text("--json", json_path)});
+  if (!(seconds > 0.0)) FlagError("--seconds must be > 0");
   try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string flag = argv[i];
-      auto next = [&]() -> const char* {
-        if (i + 1 >= argc) {
-          throw std::invalid_argument(flag + " needs a value");
-        }
-        return argv[++i];
-      };
-      if (flag == "--shards") counts.assign(1, std::stoi(next()));
-      else if (flag == "--sweep") {
-        counts.clear();
-        const std::string list = next();
-        std::size_t start = 0;
-        while (start < list.size()) {
-          const std::size_t comma = list.find(',', start);
-          counts.push_back(std::stoi(list.substr(start, comma - start)));
-          if (comma == std::string::npos) break;
-          start = comma + 1;
-        }
-        if (counts.empty()) throw std::invalid_argument("--sweep: empty list");
-      }
-      else if (flag == "--aps") city.num_aps = std::stoi(next());
-      else if (flag == "--clients-per-ap") {
-        city.clients_per_ap = std::stoi(next());
-      }
-      else if (flag == "--roams") city.num_roams = std::stoi(next());
-      else if (flag == "--mics") city.num_mics = std::stoi(next());
-      else if (flag == "--seconds") seconds = std::stod(next());
-      else if (flag == "--seed") city.seed = std::stoull(next());
-      else if (flag == "--audit") audit = true;
-      else if (flag == "--json") json_path = next();
-      else {
-        std::cerr << "usage: bench_city_scale [--shards N | --sweep 1,2,4,8] "
-                     "[--aps N] [--clients-per-ap N] [--roams N] [--mics N] "
-                     "[--seconds S] [--seed S] [--audit] [--json PATH]\n";
-        return 2;
-      }
-    }
-    if (counts.empty()) counts.push_back(1);
-    for (int c : counts) {
-      if (c < 1) throw std::invalid_argument("shard count must be >= 1");
-    }
-  } catch (const std::exception& error) {
-    std::cerr << "error: " << error.what() << "\n";
-    return 2;
+    shard::ValidateCityParams(city);
+  } catch (const std::invalid_argument& error) {
+    FlagError(error.what());
   }
 
   std::cerr << "city: " << city.num_aps << " APs x " << city.clients_per_ap
@@ -199,9 +154,8 @@ int Main(int argc, char** argv) {
     runs.push_back(RunOnce(city, c, audit, seconds));
     const RunOutput& r = runs.back();
     std::cerr << "shards " << c << ": wall "
-              << FormatDouble(r.point.wall_s, 3) << " s, "
-              << FormatDouble(
-                     static_cast<double>(r.point.events) / r.point.wall_s, 0)
+              << FormatDouble(r.wall_s, 3) << " s, "
+              << FormatDouble(static_cast<double>(r.events) / r.wall_s, 0)
               << " events/s\n";
   }
 
@@ -228,19 +182,20 @@ int Main(int argc, char** argv) {
   std::cout << runs[0].summary;
 
   if (runs.size() > 1) {
-    const double base_wall = runs[0].point.wall_s;
+    const double base_wall = runs[0].wall_s;
     std::cerr << "\nscaling (vs shards " << counts[0] << "):\n";
     for (const RunOutput& r : runs) {
-      std::cerr << "  shards " << r.point.shards << ": speedup "
-                << FormatDouble(base_wall / r.point.wall_s, 2) << "x\n";
+      std::cerr << "  shards " << r.shards << ": speedup "
+                << FormatDouble(base_wall / r.wall_s, 2) << "x\n";
     }
   }
 
   if (!json_path.empty()) {
-    std::vector<SweepPoint> sweep;
-    for (const RunOutput& r : runs) sweep.push_back(r.point);
-    std::ofstream os(json_path);
-    WriteJsonReport(os, city, seconds, runs[0], sweep);
+    if (!WriteOutput("json report", json_path, [&](std::ostream& os) {
+          WriteJsonReport(os, city, seconds, runs);
+        })) {
+      return 1;
+    }
     std::cout << "json report: " << json_path << "\n";
   }
   return 0;

@@ -59,9 +59,7 @@ int Main() {
     for (int rep = 0; rep < kReps; ++rep) {
       const ScenarioConfig config = MakeConfig(pairs, seed++);
       whitefi.Add(RunScenario(config).per_client_mbps);
-      const double o5 = OptStaticThroughput(config, ChannelWidth::kW5, 3.0);
-      const double o10 = OptStaticThroughput(config, ChannelWidth::kW10, 3.0);
-      const double o20 = OptStaticThroughput(config, ChannelWidth::kW20, 3.0);
+      const auto [o5, o10, o20] = OptThroughputPerWidth(config, 3.0);
       opt5.Add(o5);
       opt10.Add(o10);
       opt20.Add(o20);

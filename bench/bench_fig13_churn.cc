@@ -10,7 +10,6 @@
 // static widest choice (OPT-20) becomes the worst; WhiteFi — which can
 // re-adapt as the background moves — can even beat the best *static*
 // choice, exactly as the paper observes.
-#include <fstream>
 #include <iostream>
 
 #include "flags.h"
@@ -122,12 +121,7 @@ int Main(int jobs, const std::string& trace_jsonl) {
       config.obs = {};
       whitefi.Add(run.per_client_mbps);
       switches.Add(run.switches);
-      const double o5 =
-          OptStaticThroughput(config, ChannelWidth::kW5, 6.0, jobs);
-      const double o10 =
-          OptStaticThroughput(config, ChannelWidth::kW10, 6.0, jobs);
-      const double o20 =
-          OptStaticThroughput(config, ChannelWidth::kW20, 6.0, jobs);
+      const auto [o5, o10, o20] = OptThroughputPerWidth(config, 6.0, jobs);
       opt5.Add(o5);
       opt10.Add(o10);
       opt20.Add(o20);
@@ -144,10 +138,8 @@ int Main(int jobs, const std::string& trace_jsonl) {
   std::cout << "\nmetrics across all adaptive WhiteFi runs:\n"
             << metrics.Snapshot().ToText();
   if (!trace_jsonl.empty()) {
-    std::ofstream out(trace_jsonl);
-    trace.WriteJsonl(out);
-    if (!out.good()) {
-      std::cerr << "error: cannot write " << trace_jsonl << "\n";
+    if (!WriteOutput("event trace", trace_jsonl,
+                     [&](std::ostream& os) { trace.WriteJsonl(os); })) {
       return 1;
     }
     // stderr, so stdout stays byte-identical to an untraced run (the CI

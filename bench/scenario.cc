@@ -289,12 +289,13 @@ double OptStaticThroughput(const ScenarioConfig& config, ChannelWidth w,
   return best;
 }
 
-double OptThroughput(const ScenarioConfig& config, double reduced_measure_s,
-                     int jobs) {
-  double best = 0.0;
-  for (ChannelWidth w : kAllWidths) {
-    best = std::max(best, OptStaticThroughput(config, w, reduced_measure_s,
-                                              jobs));
+std::array<double, 3> OptThroughputPerWidth(const ScenarioConfig& config,
+                                            double reduced_measure_s,
+                                            int jobs) {
+  std::array<double, 3> best{};
+  for (std::size_t w = 0; w < kAllWidths.size(); ++w) {
+    best[w] =
+        OptStaticThroughput(config, kAllWidths[w], reduced_measure_s, jobs);
   }
   return best;
 }

@@ -10,6 +10,7 @@
 // simulating every candidate channel and keeping the best).
 #pragma once
 
+#include <array>
 #include <functional>
 #include <optional>
 #include <string>
@@ -119,9 +120,11 @@ RunResult RunScenario(const ScenarioConfig& config);
 double OptStaticThroughput(const ScenarioConfig& config, ChannelWidth w,
                            double reduced_measure_s = 0.0, int jobs = 1);
 
-/// Convenience: OPT over all three widths.
-double OptThroughput(const ScenarioConfig& config,
-                     double reduced_measure_s = 0.0, int jobs = 1);
+/// OptStaticThroughput at each width, in kW5, kW10, kW20 order; OPT is
+/// the largest of the three.
+std::array<double, 3> OptThroughputPerWidth(const ScenarioConfig& config,
+                                            double reduced_measure_s = 0.0,
+                                            int jobs = 1);
 
 /// Channels usable under the map AND free at every client map realization
 /// implied by the config (used to restrict OPT candidates under spatial

@@ -32,6 +32,36 @@ TEST(FuzzGenerator, EveryTrialParsesAndLoads) {
   }
 }
 
+TEST(FuzzGenerator, GeoDbSameSeedAndIndexSameBytes) {
+  FuzzOptions options;
+  options.root_seed = 11;
+  const std::string plain = GenerateGeoDbFuzzScenario(options, 3);
+  EXPECT_EQ(plain, GenerateGeoDbFuzzScenario(options, 3));
+  EXPECT_NE(plain, GenerateGeoDbFuzzScenario(options, 4));
+  FuzzOptions other = options;
+  other.root_seed = 12;
+  EXPECT_NE(plain, GenerateGeoDbFuzzScenario(other, 3));
+  // The budget keys appear only when set, after the unchanged draws.
+  EXPECT_EQ(plain.find("audit."), std::string::npos);
+  options.geo_budget_ms = 5;
+  EXPECT_EQ(GenerateGeoDbFuzzScenario(options, 3),
+            plain + "audit.geo_budget_ms = 5\n");
+  options.safety_budget_ms = 7;
+  EXPECT_EQ(GenerateGeoDbFuzzScenario(options, 3),
+            plain + "audit.safety_budget_ms = 7\naudit.geo_budget_ms = 5\n");
+}
+
+TEST(FuzzGenerator, EveryGeoDbTrialLoadsWithTheServiceOn) {
+  FuzzOptions options;
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    const std::string text = GenerateGeoDbFuzzScenario(options, i);
+    const ConfigFile config = ConfigFile::ParseString(text);
+    ScenarioConfig scenario;
+    EXPECT_NO_THROW(scenario = LoadScenario(config)) << text;
+    EXPECT_TRUE(scenario.geodb.enabled) << text;
+  }
+}
+
 TEST(FuzzBundle, ExpectBlockRoundTrips) {
   Violation v;
   v.at = 123456;

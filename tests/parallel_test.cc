@@ -11,8 +11,10 @@
 #include <future>
 #include <memory>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -334,6 +336,86 @@ TEST(BenchFlagsDeathTest, AFlagTheDriverDoesNotReadExitsTwo) {
               ::testing::ExitedWithCode(2), "--trace-jsonl");
   EXPECT_EXIT(JobsFrom({"--jobs"}), ::testing::ExitedWithCode(2),
               "--jobs needs a value");
+}
+
+/// Runs ParseFlags over `args` (argv[0] is supplied) against `flags`.
+std::set<std::string_view> ParseFrom(std::vector<std::string> args,
+                                     const std::vector<bench::Flag>& flags) {
+  args.insert(args.begin(), "bench");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  return bench::ParseFlags(static_cast<int>(argv.size()), argv.data(), flags);
+}
+
+TEST(BenchFlags, TableTakesBothFormsSwitchesListsAndBounds) {
+  int seeds = 20;
+  int trials = 10;
+  bool geodb = false;
+  bool minimize = true;
+  std::vector<int> counts{1};
+  std::string out;
+  const std::vector<bench::Flag> flags{
+      bench::Number("--seeds", seeds, 0), bench::Number("--trials", trials, 1),
+      bench::Switch("--geodb", geodb),
+      bench::Switch("--no-minimize", minimize, false),
+      bench::List("--sweep", counts, 1), bench::Text("--out", out)};
+  const auto given = ParseFrom(
+      {"--seeds=0", "--geodb", "--sweep", "1,4,8", "--out=a=b.bundle"}, flags);
+  EXPECT_EQ(seeds, 0);  // The lower bound is inclusive.
+  EXPECT_EQ(trials, 10);
+  EXPECT_TRUE(geodb);
+  EXPECT_TRUE(minimize);
+  EXPECT_EQ(counts, (std::vector<int>{1, 4, 8}));
+  EXPECT_EQ(out, "a=b.bundle");
+  EXPECT_EQ(given, (std::set<std::string_view>{"--seeds", "--geodb",
+                                               "--sweep", "--out"}));
+  ParseFrom({"--trials", "1", "--no-minimize", "--sweep=2"}, flags);
+  EXPECT_EQ(trials, 1);
+  EXPECT_FALSE(minimize);
+  EXPECT_EQ(counts, (std::vector<int>{2}));
+}
+
+TEST(BenchFlags, SeedsTakeTheFullUnsignedRange) {
+  std::uint64_t seed = 1;
+  double seconds = 3.0;
+  const std::vector<bench::Flag> flags{bench::Number("--seed", seed),
+                                       bench::Number("--seconds", seconds)};
+  ParseFrom({"--seed", "18446744073709551615", "--seconds=0.2"}, flags);
+  EXPECT_EQ(seed, 18446744073709551615ULL);
+  EXPECT_EQ(seconds, 0.2);
+}
+
+TEST(BenchFlagsDeathTest, AnUnusableValueExitsTwoNamingFlagAndValue) {
+  int seeds = 20;
+  std::uint64_t seed = 1;
+  double seconds = 3.0;
+  bool geodb = false;
+  std::vector<int> counts;
+  const std::vector<bench::Flag> flags{
+      bench::Number("--seeds", seeds, 0), bench::Number("--seed", seed),
+      bench::Number("--seconds", seconds), bench::Switch("--geodb", geodb),
+      bench::List("--sweep", counts, 1)};
+  const auto exits_two = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT(ParseFrom({"--seeds", "2x"}, flags), exits_two,
+              "--seeds: expected an integer >= 0, got '2x'");
+  EXPECT_EXIT(ParseFrom({"--seeds=-1"}, flags), exits_two,
+              "--seeds: expected an integer >= 0, got '-1'");
+  EXPECT_EXIT(ParseFrom({"--seed", "-1"}, flags), exits_two,
+              "--seed: expected an unsigned integer, got '-1'");
+  EXPECT_EXIT(ParseFrom({"--seeds", "2147483648"}, flags), exits_two,
+              "--seeds: '2147483648' is out of range");
+  EXPECT_EXIT(ParseFrom({"--seed", "18446744073709551616"}, flags), exits_two,
+              "--seed: '18446744073709551616' is out of range");
+  EXPECT_EXIT(ParseFrom({"--seconds", "inf"}, flags), exits_two,
+              "--seconds: expected a number, got 'inf'");
+  EXPECT_EXIT(ParseFrom({"--sweep", "1,0"}, flags), exits_two,
+              "--sweep: expected an integer >= 1, got '0'");
+  EXPECT_EXIT(ParseFrom({"--sweep", "1,,4"}, flags), exits_two,
+              "--sweep: expected an integer >= 1, got ''");
+  EXPECT_EXIT(ParseFrom({"--geodb=1"}, flags), exits_two,
+              "unknown argument '--geodb=1'");
+  EXPECT_EXIT(ParseFrom({"--sedes", "3"}, flags), exits_two,
+              "unknown argument '--sedes'");
 }
 
 // The end-to-end contract at the scenario layer: an OPT candidate sweep —
