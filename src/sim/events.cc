@@ -18,49 +18,65 @@ inline int LevelOf(std::uint64_t time, std::uint64_t cur) {
 
 }  // namespace
 
-Simulator::Simulator() : buckets_(kNumBuckets) {}
+Simulator::Simulator() {
+  std::fill_n(heads_, kNumBuckets, kNoIndex);
+}
 
 std::uint32_t Simulator::AllocSlot() {
-  if (free_slots_.empty()) GrowArena();
-  const std::uint32_t index = free_slots_.back();
-  free_slots_.pop_back();
+  if (free_head_ == kNoIndex) GrowArena();
+  const std::uint32_t index = free_head_;
+  free_head_ = slots_[index].next;
   return index;
 }
 
 void Simulator::GrowArena() {
-  const auto base = static_cast<std::uint32_t>(chunks_.size()) * kChunkSize;
-  assert(base + kChunkSize - 1 <= kSlotMask);
+  const auto base = static_cast<std::uint32_t>(slots_.size());
+  assert(base + kChunkSize - 1 <= kSlotMask && free_head_ == kNoIndex);
   chunks_.push_back(std::make_unique<Chunk>());
-  generation_.resize(base + kChunkSize, 1);
-  loc_.resize(base + kChunkSize, Location{kNoIndex, 0});
-  // Lowest index on top of the free stack.
-  for (std::uint32_t i = kChunkSize; i-- > 0;) free_slots_.push_back(base + i);
+  slots_.resize(base + kChunkSize);
+  // Lowest index first; the new last slot's `next` is already kNoIndex.
+  for (std::uint32_t i = base; i + 1 < base + kChunkSize; ++i) {
+    slots_[i].next = i + 1;
+  }
+  free_head_ = base;
 }
 
 void Simulator::ReleaseSlot(std::uint32_t index) {
-  if (++generation_[index] == 0) generation_[index] = 1;  // Skip sentinel 0.
-  loc_[index].bucket = kNoIndex;
-  free_slots_.push_back(index);
+  Slot& slot = slots_[index];
+  if (++slot.generation == 0) slot.generation = 1;  // Skip sentinel 0.
+  slot.key = kDeadKey;
+  slot.next = free_head_;
+  free_head_ = index;
 }
 
 EventId Simulator::PushScheduled(SimTime at, std::uint32_t index) {
-  PlaceEntry(Entry{std::max(at, now_), (next_seq_++ << kSlotBits) | index});
+  Slot& slot = slots_[index];
+  slot.time = std::max(at, now_);
+  slot.key = (next_seq_++ << kSlotBits) | index;
+  if (slot.time == draining_tick_) {
+    // The newest seq sorts last: appending keeps the drain in seq order.
+    slot.bucket = kDrainBucket;
+    drain_.push_back(slot.key);
+  } else {
+    Link(index);
+  }
   ++pending_;
-  return (static_cast<EventId>(generation_[index]) << 32) | index;
+  return (static_cast<EventId>(slot.generation) << 32) | index;
 }
 
-void Simulator::PlaceEntry(const Entry& entry) {
-  const int level = LevelOf(static_cast<std::uint64_t>(entry.time),
-                            static_cast<std::uint64_t>(cur_));
-  const auto index = static_cast<std::uint32_t>(
-      (static_cast<std::uint64_t>(entry.time) >> (kLevelBits * level)) &
-      kByteMask);
-  const std::uint32_t bucket = level * kBucketsPerLevel + index;
-  std::vector<Entry>& b = buckets_[bucket];
-  loc_[entry.key & kSlotMask] =
-      Location{bucket, static_cast<std::uint32_t>(b.size())};
-  b.push_back(entry);
-  SetOcc(level, index);
+void Simulator::Link(std::uint32_t index) {
+  Slot& slot = slots_[index];
+  const auto time = static_cast<std::uint64_t>(slot.time);
+  const int level = LevelOf(time, static_cast<std::uint64_t>(cur_));
+  const auto byte =
+      static_cast<std::uint32_t>((time >> (kLevelBits * level)) & kByteMask);
+  const std::uint32_t bucket = level * kBucketsPerLevel + byte;
+  slot.bucket = bucket;
+  slot.prev = kNoIndex;
+  slot.next = heads_[bucket];
+  if (slot.next != kNoIndex) slots_[slot.next].prev = index;
+  heads_[bucket] = index;
+  SetOcc(level, byte);
 }
 
 int Simulator::NextOccupied(int level, std::uint32_t from) const {
@@ -78,46 +94,50 @@ int Simulator::NextOccupied(int level, std::uint32_t from) const {
 }
 
 void Simulator::Cascade(int level, std::uint32_t index, SimTime window_start) {
-  // Advancing the cursor first is what makes every entry land strictly
+  // Advancing the cursor first is what makes every event land strictly
   // lower: their byte `level` now matches the cursor's.
   cur_ = window_start;
-  std::vector<Entry>& b = buckets_[level * kBucketsPerLevel + index];
-  for (const Entry& entry : b) PlaceEntry(entry);
-  b.clear();
+  const std::uint32_t bucket = level * kBucketsPerLevel + index;
+  std::uint32_t slot = heads_[bucket];
+  heads_[bucket] = kNoIndex;
   ClearOcc(level, index);
+  while (slot != kNoIndex) {
+    const std::uint32_t next = slots_[slot].next;
+    Link(slot);
+    slot = next;
+  }
 }
 
 void Simulator::EnterDrain(std::uint32_t bucket, SimTime tick) {
-  std::vector<Entry>& b = buckets_[bucket];
-  if (b.size() > 1) {
-    // Keys are (seq << kSlotBits | slot), so this is schedule order — the
-    // determinism contract.  Bucket order is arbitrary here (cascades and
-    // swap-remove cancellations shuffle it); the sort happens exactly once
-    // per tick, and same-tick events scheduled during the drain append in
-    // seq order so they stay sorted.
-    std::sort(b.begin(), b.end(),
-              [](const Entry& x, const Entry& y) { return x.key < y.key; });
-    for (std::uint32_t pos = 0; pos < b.size(); ++pos) {
-      loc_[b[pos].key & kSlotMask].pos = pos;
-    }
-  }
-  draining_ = bucket;
+  std::uint32_t slot = heads_[bucket];
+  heads_[bucket] = kNoIndex;
+  ClearOcc(0, bucket);
+  do {
+    slots_[slot].bucket = kDrainBucket;
+    drain_.push_back(slots_[slot].key);
+    slot = slots_[slot].next;
+  } while (slot != kNoIndex);
+  // Keys are (seq << kSlotBits | slot), so this is schedule order — the
+  // determinism contract.  List order is arbitrary (cascades relink in
+  // reverse); the sort happens exactly once per tick, and same-tick
+  // events scheduled during the drain append in seq order.
+  if (drain_.size() > 1) std::sort(drain_.begin(), drain_.end());
   draining_tick_ = tick;
-  drain_pos_ = 0;
 }
 
 bool Simulator::PrepareNext(SimTime until) {
   for (;;) {
-    if (draining_ != kNoIndex) {
-      std::vector<Entry>& b = buckets_[draining_];
-      while (drain_pos_ < b.size() && b[drain_pos_].key == kDeadKey) {
+    if (draining_tick_ != kNoTick) {
+      // A cancelled entry's slot was released (key cleared) and may since
+      // hold a newer event: only a matching key is still this tick's.
+      while (drain_pos_ < drain_.size() &&
+             slots_[drain_[drain_pos_] & kSlotMask].key != drain_[drain_pos_]) {
         ++drain_pos_;
       }
-      if (drain_pos_ < b.size()) return draining_tick_ <= until;
-      b.clear();
-      ClearOcc(0, draining_);
-      draining_ = kNoIndex;
+      if (drain_pos_ < drain_.size()) return draining_tick_ <= until;
+      drain_.clear();
       drain_pos_ = 0;
+      draining_tick_ = kNoTick;
     }
     if (pending_ == 0) return false;
     const auto cur = static_cast<std::uint64_t>(cur_);
@@ -159,28 +179,26 @@ bool Simulator::Cancel(EventId id) {
   const auto index = static_cast<std::uint32_t>(id & 0xffffffffu);
   const auto generation = static_cast<std::uint32_t>(id >> 32);
   if (generation == 0) return false;  // kInvalidEventId or malformed.
-  if (static_cast<std::size_t>(index) >= generation_.size()) {
+  if (static_cast<std::size_t>(index) >= slots_.size()) {
     return false;  // Never-issued slot.
   }
-  if (generation_[index] != generation) {
+  if (slots_[index].generation != generation) {
     return false;  // Already fired or cancelled; nothing retained.
   }
-  const Location loc = loc_[index];
-  assert(loc.bucket != kNoIndex);
-  std::vector<Entry>& b = buckets_[loc.bucket];
-  if (loc.bucket == draining_) {
-    // The sorted drain order must survive, so dead-mark in place; the
-    // entry is reclaimed when the tick finishes draining.
-    b[loc.pos].key = kDeadKey;
-  } else {
-    // Swap-remove: O(1), and order within a bucket is irrelevant until
-    // its drain-time sort.
-    b[loc.pos] = b.back();
-    b.pop_back();
-    if (loc.pos < b.size()) loc_[b[loc.pos].key & kSlotMask].pos = loc.pos;
-    if (b.empty()) {
-      ClearOcc(static_cast<int>(loc.bucket / kBucketsPerLevel),
-               loc.bucket % kBucketsPerLevel);
+  // An event of the draining tick keeps its place in the scratch so the
+  // sorted fire order survives; releasing the slot is what dead-marks it.
+  // Any other is unlinked from its bucket.
+  const Slot& slot = slots_[index];
+  if (slot.bucket != kDrainBucket) {
+    if (slot.next != kNoIndex) slots_[slot.next].prev = slot.prev;
+    if (slot.prev != kNoIndex) {
+      slots_[slot.prev].next = slot.next;
+    } else {
+      heads_[slot.bucket] = slot.next;
+      if (slot.next == kNoIndex) {
+        ClearOcc(static_cast<int>(slot.bucket / kBucketsPerLevel),
+                 slot.bucket % kBucketsPerLevel);
+      }
     }
   }
   CbAt(index).Reset();  // Destroy the callback eagerly.
@@ -192,10 +210,10 @@ bool Simulator::Cancel(EventId id) {
 void Simulator::FireLoop(SimTime until) {
   stopped_ = false;
   while (!stopped_ && PrepareNext(until)) {
-    const Entry entry = buckets_[draining_][drain_pos_++];
-    const auto index = static_cast<std::uint32_t>(entry.key & kSlotMask);
-    now_ = entry.time;
-    cur_ = entry.time;
+    const auto index =
+        static_cast<std::uint32_t>(drain_[drain_pos_++] & kSlotMask);
+    now_ = draining_tick_;
+    cur_ = draining_tick_;
     EventCallback cb = std::move(CbAt(index));
     // Release before invoking: the callback may reschedule into this slot,
     // and Cancel of the now-fired id must miss (generation already bumped).

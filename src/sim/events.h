@@ -11,23 +11,26 @@
 //    the steady-state schedule->fire cycle performs zero heap allocations.
 //    Trivially-copyable callables relocate with a memcpy and skip the
 //    destructor call entirely.
-//  * Event state lives in fixed-size chunks on a free list; slots are
-//    addressed by index and never move, and an `EventId` encodes
-//    (generation << 32 | slot), so Cancel is an O(1) liveness check plus
-//    an O(1) removal from the event's wheel bucket — no tombstone set, no
-//    unbounded cancellation state.
+//  * Event state lives in fixed-size chunks; slots are addressed by index
+//    and never move, and an `EventId` encodes (generation << 32 | slot),
+//    so Cancel is an O(1) liveness check plus an O(1) unlink from the
+//    event's bucket — no tombstone set, no unbounded cancellation state.
 //  * The wheel has 8 levels of 256 buckets; an event's level is the
 //    highest byte in which its time differs from the wheel cursor, so
 //    schedule is O(1) and each event cascades down at most 7 times before
-//    firing.  Occupancy bitmaps (256 bits per level) let the cursor jump
-//    over empty regions in O(levels) instead of tick by tick.
+//    firing.  A bucket is the head of a doubly linked list threaded
+//    through the slots' metadata (Varghese & Lauck's hierarchical wheel),
+//    so the wheel holds 8 KiB of heads plus 32 bytes per arena slot:
+//    O(pending events), however many buckets have been used.  Occupancy
+//    bitmaps (256 bits per level) let the cursor jump over empty regions
+//    in O(levels) instead of tick by tick.
 //  * Determinism: events fire in (time, seq) order, where seq increases
 //    monotonically per Schedule call.  A level-0 bucket holds exactly one
-//    tick's events; it is sorted by seq once when the cursor reaches it
-//    (appends during the drain carry larger seqs and stay in order), so
-//    simultaneous events fire in schedule order, in both Run and
-//    RunUntilIdle.  This FIFO contract is what makes every scenario's
-//    output deterministic.
+//    tick's events; when the cursor reaches it, their keys move into one
+//    reused drain scratch and are sorted by seq once (same-tick schedules
+//    made during the drain carry larger seqs and append), so simultaneous
+//    events fire in schedule order, in both Run and RunUntilIdle.  This
+//    FIFO contract is what makes every scenario's output deterministic.
 #pragma once
 
 #include <cassert>
@@ -262,30 +265,33 @@ class Simulator {
   static constexpr std::uint32_t kBucketsPerLevel = 1u << kLevelBits;
   static constexpr std::uint32_t kByteMask = kBucketsPerLevel - 1;
   static constexpr std::uint32_t kNumBuckets = kNumLevels * kBucketsPerLevel;
-  /// Bucket entries pack (seq << kSlotBits | slot) into one key: sorting a
-  /// tick bucket by key is sorting by schedule order, and 24 slot bits
-  /// bound the arena at 16M concurrently pending events.
+  /// `Slot::bucket` of an event listed in the drain scratch.
+  static constexpr std::uint32_t kDrainBucket = kNumBuckets;
+  /// Keys pack (seq << kSlotBits | slot): sorting a tick's keys is sorting
+  /// by schedule order, and 24 slot bits bound the arena at 16M
+  /// concurrently pending events.
   static constexpr int kSlotBits = 24;
   static constexpr std::uint64_t kSlotMask = (1u << kSlotBits) - 1;
-  /// Cancelled-in-draining-bucket sentinel: live keys have seq >= 1.
+  /// Key of a free slot: live keys have seq >= 1.
   static constexpr std::uint64_t kDeadKey = 0;
+  /// `draining_tick_` while no tick drains (event times are never < 0).
+  static constexpr SimTime kNoTick = -1;
 
-  /// Callback storage only: the per-event metadata the wheel touches
-  /// (generation, bucket location, free list) lives in dense parallel
-  /// vectors instead, so wheel maintenance never pulls 112-byte callback
-  /// slots through the cache.
+  /// Callback storage only: the per-event metadata the wheel touches lives
+  /// in the dense `slots_` vector instead, so wheel maintenance never
+  /// pulls 112-byte callback slots through the cache.
   struct Chunk {
     EventCallback cbs[kChunkSize];
   };
-  /// 16-byte bucket entry carrying the full (time, seq, slot) identity.
-  struct Entry {
-    SimTime time;
-    std::uint64_t key;  ///< seq << kSlotBits | slot.
-  };
-  /// Where a pending event's entry currently lives (for O(1) Cancel).
-  struct Location {
-    std::uint32_t bucket;  ///< level * 256 + index.
-    std::uint32_t pos;     ///< Position within the bucket vector.
+  /// Per-slot metadata.  A pending event is linked into its bucket's list
+  /// or listed in the drain scratch; a free slot is on the free list.
+  struct Slot {
+    SimTime time = 0;
+    std::uint64_t key = kDeadKey;     ///< seq << kSlotBits | slot if pending.
+    std::uint32_t next = kNoIndex;    ///< Bucket list, or free list if free.
+    std::uint32_t prev = kNoIndex;    ///< Bucket list only.
+    std::uint32_t bucket = kNoIndex;  ///< level * 256 + index, kDrainBucket.
+    std::uint32_t generation = 1;     ///< Bumped on release; never 0.
   };
 
   EventCallback& CbAt(std::uint32_t index) {
@@ -296,13 +302,14 @@ class Simulator {
   void GrowArena();
   void ReleaseSlot(std::uint32_t index);
   EventId PushScheduled(SimTime at, std::uint32_t index);
-  /// Files `entry` into the bucket its time selects relative to `cur_`,
-  /// updating its slot's location and the occupancy bitmap.
-  void PlaceEntry(const Entry& entry);
+  /// Links slot `index` at the head of the bucket its time selects
+  /// relative to `cur_`, and marks the bucket occupied.
+  void Link(std::uint32_t index);
   /// Redistributes bucket (level, index) after advancing the cursor to
-  /// `window_start`; every entry lands at a strictly lower level.
+  /// `window_start`; every event lands at a strictly lower level.
   void Cascade(int level, std::uint32_t index, SimTime window_start);
-  /// Sorts tick bucket `bucket` by seq and makes it the draining bucket.
+  /// Moves tick bucket `bucket`'s keys into the drain scratch, sorted by
+  /// seq, and makes `tick` the draining tick.
   void EnterDrain(std::uint32_t bucket, SimTime tick);
   /// Positions the drain cursor on the next live event with time <=
   /// `until`; returns false when there is none (state untouched past
@@ -328,21 +335,19 @@ class Simulator {
   std::size_t pending_ = 0;
   bool stopped_ = false;
 
-  std::vector<std::vector<Entry>> buckets_;  ///< kNumBuckets vectors.
+  std::uint32_t heads_[kNumBuckets];  ///< First slot of each bucket's list.
   std::uint64_t occ_[kNumLevels][kBucketsPerLevel / 64] = {};
-  /// Tick bucket currently being drained (kNoIndex when none); its entries
-  /// up to drain_pos_ have fired, and cancellations inside it dead-mark in
-  /// place (reclaimed when the bucket finishes draining) so the sorted
-  /// fire order survives.
-  std::uint32_t draining_ = kNoIndex;
-  std::uint32_t drain_pos_ = 0;
-  SimTime draining_tick_ = 0;
+  /// Keys of the tick being drained, in seq order; entries before
+  /// drain_pos_ have fired.  A cancelled entry stays in place, so the
+  /// order survives, and is skipped because its slot's key no longer
+  /// matches.  Cleared, with its capacity kept, when the tick is done.
+  std::vector<std::uint64_t> drain_;
+  std::size_t drain_pos_ = 0;
+  SimTime draining_tick_ = kNoTick;
 
   std::vector<std::unique_ptr<Chunk>> chunks_;
-  /// Parallel per-slot metadata (dense; hot during placement and Cancel).
-  std::vector<std::uint32_t> generation_;  ///< Bumped on release; never 0.
-  std::vector<Location> loc_;              ///< Valid while pending.
-  std::vector<std::uint32_t> free_slots_;  ///< LIFO stack of free indices.
+  std::vector<Slot> slots_;             ///< Dense; hot in the wheel and Cancel.
+  std::uint32_t free_head_ = kNoIndex;  ///< LIFO free list through Slot::next.
 };
 
 }  // namespace whitefi

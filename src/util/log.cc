@@ -2,6 +2,7 @@
 
 #include <iomanip>
 #include <iostream>
+#include <sstream>
 
 namespace whitefi {
 namespace {
@@ -42,15 +43,20 @@ ScopedLogClock::~ScopedLogClock() { t_clock_us = previous_; }
 void LogLine(LogLevel level, const std::string& tag,
              const std::string& message) {
   if (!LogEnabled(level)) return;
-  std::cerr << "[" << LevelName(level);
+  // Formatted off to the side and written with one unformatted call:
+  // threads that log at once share std::cerr, so none may touch its
+  // format state (flags, precision, or the width that `<<` resets).
+  std::ostringstream line;
+  line << "[" << LevelName(level);
   if (t_clock_us != nullptr) {
     // Microseconds to seconds exactly as ToSeconds (sim/time.h) does.
-    std::cerr << " " << std::fixed << std::setprecision(6)
-              << static_cast<double>(*t_clock_us) / 1e6 << "s"
-              << std::defaultfloat;
+    line << " " << std::fixed << std::setprecision(6)
+         << static_cast<double>(*t_clock_us) / 1e6 << "s";
   }
-  if (!tag.empty()) std::cerr << " " << tag;
-  std::cerr << "] " << message << "\n";
+  if (!tag.empty()) line << " " << tag;
+  line << "] " << message << "\n";
+  const std::string text = line.str();
+  std::cerr.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 }  // namespace whitefi

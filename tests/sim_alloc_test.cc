@@ -1,8 +1,8 @@
 // Pins the event engine's zero-steady-state-allocation contract: once the
-// arena, free list, and wheel buckets are warm, the schedule/fire cycle
-// must not touch the heap (DESIGN.md §10).  Global operator new/delete are
-// replaced with counting versions; the warmed cycle must leave the count
-// untouched.
+// arena and the drain scratch are warm, the schedule/fire cycle must not
+// touch the heap, whichever wheel buckets it lands in (DESIGN.md §10).
+// Global operator new/delete are replaced with counting versions; the
+// warmed cycle must leave the count untouched.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -40,9 +40,8 @@ namespace {
 
 /// One batch of the steady-state workload: 512 inline-stored timers spread
 /// over a 256-tick horizon, drained to idle.  Advances Now() by exactly
-/// 256 ticks — one full level-0 wheel window — per call, so every wrap of
-/// the level-1 wheel replays identical bucket loads and warmed capacities
-/// suffice forever.
+/// 256 ticks — one full level-0 wheel window — per call, so every call
+/// replays identical tick loads.
 void Cycle(Simulator& sim) {
   for (int i = 0; i < 512; ++i) {
     sim.ScheduleAfter((i * 7919) % 256 + 1, [] {});
@@ -52,12 +51,11 @@ void Cycle(Simulator& sim) {
 
 TEST(SimulatorAlloc, SteadyStateScheduleFireIsAllocationFree) {
   Simulator sim;
-  // Warm every structure the cycle can touch: the arena chunks, the free
-  // list, all 256 level-0 tick buckets, and — because the cursor sweeps
-  // forward one 256-tick window per cycle — every level-1 bucket, which
-  // takes one full 65536-tick wrap (256 cycles).  400 cycles ends near
-  // tick 102400, clear of the next level-2 window crossing at 131072, so
-  // the measured window replays only warmed paths.
+  // The first cycle warms all the cycle can grow: the arena chunks and
+  // the drain scratch.  Buckets are list heads with no storage to warm;
+  // the remaining cycles sweep the cursor across every level-1 bucket and
+  // over the level-2 window crossing at 65536, and the measured cycles
+  // continue past tick 102400 into level-1 buckets already visited.
   for (int i = 0; i < 400; ++i) Cycle(sim);
 
   const std::size_t before = g_allocations.load();
@@ -88,6 +86,28 @@ TEST(SimulatorAlloc, CancelChurnIsAllocationFreeWhenWarm) {
   for (int i = 0; i < 8; ++i) Churn();
   EXPECT_EQ(g_allocations.load(), before)
       << "warm schedule/cancel churn allocated";
+}
+
+TEST(SimulatorAlloc, FreshBucketOnEveryLevelIsAllocationFree) {
+  Simulator sim;
+  // Warm only the arena and the drain scratch: 64 events in one tick.
+  for (int i = 0; i < 64; ++i) sim.Schedule(1, [] {});
+  sim.RunUntilIdle();
+
+  // Eight events at each of 0x03, 0x0303, ..., 0x0303030303030303: each
+  // time's highest byte past the cursor picks level 0 to 7, and each
+  // lands in bucket 3 of its level, which no event has used before, then
+  // cascades down through bucket 3 of every lower level to fire.
+  const std::size_t before = g_allocations.load();
+  SimTime at = 0;
+  for (int level = 0; level < 8; ++level) {
+    at = (at << 8) | 3;
+    for (int i = 0; i < 8; ++i) sim.Schedule(at, [] {});
+  }
+  sim.RunUntilIdle();
+  EXPECT_EQ(g_allocations.load(), before) << "a fresh wheel bucket allocated";
+  EXPECT_EQ(sim.NumProcessed(), 128u);
+  EXPECT_EQ(sim.Now(), at);
 }
 
 }  // namespace

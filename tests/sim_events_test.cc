@@ -2,8 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <map>
 #include <memory>
+#include <ostream>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "sim/events.h"
@@ -320,6 +326,248 @@ TEST(Simulator, NumPendingIsExactUnderCancellation) {
   sim.RunUntilIdle();
   EXPECT_EQ(sim.NumPending(), 0u);
   EXPECT_EQ(sim.NumProcessed(), 50u);
+}
+
+// ------------------------------------------- differential vs a reference ---
+
+/// The queue contract written the obvious way: a (time, seq)-ordered map.
+/// Ids are seqs (from 1, so kInvalidEventId is never issued).
+class ReferenceQueue {
+ public:
+  SimTime Now() const { return now_; }
+  std::size_t NumPending() const { return queue_.size(); }
+  /// What the arena must hold: the pending high-water mark in whole chunks.
+  std::size_t ArenaSlots() const { return (peak_ + 255) / 256 * 256; }
+
+  EventId Schedule(SimTime at, std::function<void()> fn) {
+    const Key key{std::max(at, now_), next_seq_++};
+    queue_.emplace(key, std::move(fn));
+    keys_.emplace(key.second, key);
+    peak_ = std::max(peak_, queue_.size());
+    return key.second;
+  }
+
+  bool Cancel(EventId id) {
+    const auto it = keys_.find(id);
+    if (it == keys_.end()) return false;
+    queue_.erase(it->second);
+    keys_.erase(it);
+    return true;
+  }
+
+  void Run(SimTime until) {
+    Fire(until);
+    if (!stopped_) now_ = std::max(now_, until);
+  }
+  void RunUntilIdle() { Fire(std::numeric_limits<SimTime>::max()); }
+  void Stop() { stopped_ = true; }
+
+ private:
+  using Key = std::pair<SimTime, std::uint64_t>;
+
+  void Fire(SimTime until) {
+    stopped_ = false;
+    while (!stopped_ && !queue_.empty() &&
+           queue_.begin()->first.first <= until) {
+      auto node = queue_.extract(queue_.begin());
+      keys_.erase(node.key().second);
+      now_ = node.key().first;
+      node.mapped()();
+    }
+  }
+
+  std::map<Key, std::function<void()>> queue_;
+  std::map<EventId, Key> keys_;
+  std::uint64_t next_seq_ = 1;
+  std::size_t peak_ = 0;
+  SimTime now_ = 0;
+  bool stopped_ = false;
+};
+
+/// One entry of a runner's history: an event firing, or a cancel's result.
+struct Record {
+  char what;  // 'f' fired, 'c' cancelled, 'm' cancel missed.
+  std::uint64_t tag;
+  SimTime now;
+  bool operator==(const Record&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Record& r) {
+  return os << r.what << " tag " << r.tag << " at " << r.now;
+}
+
+/// Keeps times far from overflow however many wide delays a run draws.
+constexpr SimTime kHorizon = SimTime{1} << 62;
+
+/// A delay of up to 20 random bits, and one time in 16 of up to 60, so
+/// every wheel level gets events while time stays well short of kHorizon.
+SimTime DrawDelay(std::uint64_t bits, std::uint64_t width) {
+  const std::uint64_t w = (width >> 4) % ((width & 15) == 0 ? 61 : 21);
+  return static_cast<SimTime>(bits & ((std::uint64_t{1} << w) - 1));
+}
+
+std::uint64_t Mix(std::uint64_t x) {  // SplitMix64's finalizer.
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+/// Top-level operations, drawn once and applied to both queues.
+enum class OpKind {
+  kSchedule,
+  kPast,
+  kBurst,
+  kCancel,
+  kCancelNeverIssued,
+  kRun,
+  kRunUntilIdle,
+};
+struct Op {
+  OpKind kind;
+  SimTime delay;
+  int count;
+  std::uint64_t pick;
+};
+
+Op DrawOp(std::mt19937_64& rng) {
+  const std::uint64_t r = rng();
+  const std::uint64_t bits = rng();
+  Op op{OpKind::kSchedule, DrawDelay(bits, rng()),
+        2 + static_cast<int>((r >> 8) % 63), r >> 16};
+  const int roll = static_cast<int>(r % 100);
+  if (roll < 35) {
+    op.kind = OpKind::kSchedule;
+  } else if (roll < 38) {
+    op.kind = OpKind::kPast;
+  } else if (roll < 50) {
+    op.kind = OpKind::kBurst;
+  } else if (roll < 65) {
+    op.kind = OpKind::kCancel;
+  } else if (roll < 68) {
+    op.kind = OpKind::kCancelNeverIssued;
+  } else if (roll < 98) {
+    op.kind = OpKind::kRun;
+  } else {
+    op.kind = OpKind::kRunUntilIdle;
+  }
+  return op;
+}
+
+/// Runs one queue through the drawn ops.  Every choice comes from an op or
+/// from a hash of the firing event's tag, never from the queue itself, so
+/// two queues that keep the contract record identical histories.
+template <typename Queue>
+class QueueRunner {
+ public:
+  explicit QueueRunner(std::uint64_t salt) : salt_(salt) {}
+  QueueRunner(const QueueRunner&) = delete;
+  QueueRunner& operator=(const QueueRunner&) = delete;
+
+  Queue queue;
+  std::vector<Record> history;
+
+  void Apply(const Op& op) {
+    switch (op.kind) {
+      case OpKind::kSchedule: Add(Later(op.delay)); break;
+      case OpKind::kPast: Add(queue.Now() - op.delay % 1000); break;
+      case OpKind::kBurst: {
+        const SimTime at = Later(op.delay);
+        for (int i = 0; i < op.count; ++i) Add(at);
+        break;
+      }
+      case OpKind::kCancel:
+        if (!ids_.empty()) CancelTag(op.pick % ids_.size());
+        break;
+      case OpKind::kCancelNeverIssued:
+        // Past any arena, and the invalid id: both must miss.
+        Log(queue.Cancel((EventId{1} << 32) | 0xffffff) ? 'c' : 'm', 0);
+        Log(queue.Cancel(kInvalidEventId) ? 'c' : 'm', 0);
+        break;
+      case OpKind::kRun: queue.Run(Later(op.delay)); break;
+      case OpKind::kRunUntilIdle: queue.RunUntilIdle(); break;
+    }
+  }
+
+ private:
+  static constexpr std::size_t kMaxEvents = 40000;
+
+  SimTime Later(SimTime delay) const {
+    const SimTime now = queue.Now();
+    return now + (now > kHorizon - delay ? delay % 4096 : delay);
+  }
+
+  void Add(SimTime at) {
+    const std::uint64_t tag = ids_.size();
+    ids_.push_back(queue.Schedule(at, [this, tag] { OnFire(tag); }));
+  }
+
+  void CancelTag(std::uint64_t tag) {
+    if (tag >= ids_.size()) return;  // Not issued yet.
+    Log(queue.Cancel(ids_[tag]) ? 'c' : 'm', tag);
+  }
+
+  void Log(char what, std::uint64_t tag) {
+    history.push_back({what, tag, queue.Now()});
+  }
+
+  void OnFire(std::uint64_t tag) {
+    Log('f', tag);
+    const std::uint64_t h = Mix(tag ^ salt_);
+    if (ids_.size() < kMaxEvents) {
+      switch (h & 7) {
+        case 0: Add(queue.Now()); break;  // Joins the draining tick.
+        case 1: Add(queue.Now() + static_cast<SimTime>((h >> 8) & 255)); break;
+        case 2: Add(Later(DrawDelay(Mix(h), h >> 8))); break;
+        default: break;
+      }
+    }
+    // Neighbouring tags are often this tick's: pending in the drain
+    // (forward) or fired already (backward).
+    const std::uint64_t step = 1 + ((h >> 24) & 3);
+    switch ((h >> 3) & 7) {
+      case 0: CancelTag(tag + step); break;
+      case 1:
+        if (tag >= step) CancelTag(tag - step);
+        break;
+      default: break;
+    }
+    if (((h >> 32) & 31) == 0) queue.Stop();
+  }
+
+  std::uint64_t salt_;
+  std::vector<EventId> ids_;  ///< By tag.
+};
+
+TEST(Simulator, MatchesReferenceQueueUnderRandomWorkload) {
+  // Random schedules at every wheel level, same-tick bursts, cancels of
+  // pending, draining-tick, fired and never-issued ids, schedules and
+  // stops from inside callbacks, and Run boundaries mixed with
+  // RunUntilIdle: after every operation the wheel must have fired the same
+  // events in the same order as the reference, and agree on Now(),
+  // NumPending() and the arena's high-water mark.
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(seed);
+    std::mt19937_64 rng(seed);
+    QueueRunner<Simulator> wheel(seed);
+    QueueRunner<ReferenceQueue> reference(seed);
+    std::size_t checked = 0;
+    for (int step = 0; step < 3000; ++step) {
+      const Op op = DrawOp(rng);
+      wheel.Apply(op);
+      reference.Apply(op);
+      ASSERT_EQ(wheel.history.size(), reference.history.size())
+          << "step " << step;
+      for (; checked < wheel.history.size(); ++checked) {
+        ASSERT_EQ(wheel.history[checked], reference.history[checked])
+            << "step " << step;
+      }
+      ASSERT_EQ(wheel.queue.Now(), reference.queue.Now()) << "step " << step;
+      ASSERT_EQ(wheel.queue.NumPending(), reference.queue.NumPending())
+          << "step " << step;
+      ASSERT_EQ(wheel.queue.ArenaSlots(), reference.queue.ArenaSlots())
+          << "step " << step;
+    }
+  }
 }
 
 // ------------------------------------------------------------ propagation -
