@@ -1,4 +1,5 @@
-// Shared command line and output files of the bench drivers.
+// Shared command line and output files of the bench drivers and of the
+// scenario_cli and trace_lens tools.
 //
 // A driver lists its flags in one table for ParseFlags: `--flag VALUE` or
 // `--flag=VALUE`, or a bare switch.  An unknown argument, a missing value
@@ -133,10 +134,11 @@ inline Flag Switch(std::string_view name, bool& target, bool value = true) {
           false};
 }
 
-/// `--jobs N`: the trial pool width; 0 = all hardware threads (ParseJobs).
+/// `--jobs N`: the trial pool width; 0 = all hardware threads.
 inline Flag Jobs(int& jobs) {
   return {"--jobs", [&jobs](const std::string& value) {
-            jobs = ParseJobs(value.c_str());
+            jobs = ParseValue<int>("--jobs", value, 0);
+            if (jobs == 0) jobs = HardwareJobs();
           }};
 }
 

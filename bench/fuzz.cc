@@ -1,7 +1,10 @@
 #include "fuzz.h"
 
 #include <cmath>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "scenario_file.h"
@@ -277,16 +280,24 @@ std::string GenerateGeoDbFuzzScenario(const FuzzOptions& options,
 
 AuditConfig LoadAuditConfig(const ConfigFile& config) {
   AuditConfig audit;
-  audit.safety_budget =
-      config.GetInt("audit.safety_budget_ms", 0) * kTicksPerMs;
-  audit.geo_budget = config.GetInt("audit.geo_budget_ms", 0) * kTicksPerMs;
-  if (config.Has("audit.vacate_slack_ms")) {
-    audit.safety_vacate_slack =
-        config.GetInt("audit.vacate_slack_ms") * kTicksPerMs;
-  }
-  if (config.Has("audit.sweep_ms")) {
-    audit.sweep_interval = config.GetInt("audit.sweep_ms") * kTicksPerMs;
-  }
+  // Each audit.*_ms key: whole ms in [min_ms, INT_MAX], as ticks.
+  const auto duration = [&config](const std::string& key, SimTime fallback,
+                                  long long min_ms = 0) -> SimTime {
+    if (!config.Has(key)) return fallback;
+    const long long ms = config.GetInt(key);
+    if (ms < min_ms || ms > std::numeric_limits<int>::max()) {
+      throw std::runtime_error(key + " must be in [" +
+                               std::to_string(min_ms) + ", " +
+                               std::to_string(std::numeric_limits<int>::max()) +
+                               "]");
+    }
+    return ms * kTicksPerMs;
+  };
+  audit.safety_budget = duration("audit.safety_budget_ms", 0);
+  audit.geo_budget = duration("audit.geo_budget_ms", 0);
+  audit.safety_vacate_slack =
+      duration("audit.vacate_slack_ms", audit.safety_vacate_slack);
+  audit.sweep_interval = duration("audit.sweep_ms", audit.sweep_interval, 1);
   audit.check_books = config.GetBool("audit.check_books", true);
   return audit;
 }

@@ -69,7 +69,9 @@ struct AuditedRun {
 };
 
 /// Reads the auditor knobs (audit.*) from a parsed config.  Exposed so
-/// the CLI's --audit path shares the key set with replay.
+/// the CLI's --audit path shares the key set with replay.  Throws
+/// std::runtime_error on an audit.*_ms value outside [0, INT_MAX] or an
+/// audit.sweep_ms of 0.
 AuditConfig LoadAuditConfig(const ConfigFile& config);
 
 /// Parses scenario text (audit.* keys honored, expect.* ignored) and runs

@@ -1,17 +1,41 @@
 #include "scenario_file.h"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "spectrum/campus.h"
 #include "spectrum/locales.h"
 
 namespace whitefi::bench {
+namespace {
+
+/// A seed key: a non-negative integer.
+std::uint64_t LoadSeed(const ConfigFile& config, const std::string& key,
+                       long long fallback) {
+  const long long seed = config.GetInt(key, fallback);
+  if (seed < 0) throw std::runtime_error(key + " must be >= 0");
+  return static_cast<std::uint64_t>(seed);
+}
+
+/// The run length: a finite, positive number of seconds.
+double LoadSeconds(const ConfigFile& config, double fallback) {
+  const double seconds = config.GetDouble("seconds", fallback);
+  if (!std::isfinite(seconds) || seconds <= 0.0) {
+    throw std::runtime_error("seconds must be finite and positive");
+  }
+  return seconds;
+}
+
+}  // namespace
 
 ScenarioConfig LoadScenario(const ConfigFile& config) {
   ScenarioConfig scenario;
-  scenario.seed = static_cast<std::uint64_t>(config.GetInt("seed", 1));
-  scenario.measure_s = config.GetDouble("seconds", 10.0);
+  scenario.seed = LoadSeed(config, "seed", 1);
+  scenario.measure_s = LoadSeconds(config, 10.0);
   scenario.warmup_s = config.GetDouble("warmup", 1.0);
+  if (!std::isfinite(scenario.warmup_s) || scenario.warmup_s < 0.0) {
+    throw std::runtime_error("warmup must be finite and >= 0");
+  }
 
   // Map.
   const std::string map_name = config.Get("map.name", "campus");
@@ -215,8 +239,7 @@ ScenarioConfig LoadScenario(const ConfigFile& config) {
 
   // Fault schedule ([fault] section; absent = no injector).
   scenario.faults = ParseFaultPlan(config);
-  scenario.fault_seed =
-      static_cast<std::uint64_t>(config.GetInt("fault.seed", 0));
+  scenario.fault_seed = LoadSeed(config, "fault.seed", 0);
   return scenario;
 }
 
@@ -233,11 +256,8 @@ bool IsCityScenario(const ConfigFile& config) {
 CityScenario LoadCityScenario(const ConfigFile& config) {
   CityScenario scenario;
   shard::CityParams& city = scenario.city;
-  city.seed = static_cast<std::uint64_t>(config.GetInt("seed", 1));
-  scenario.seconds = config.GetDouble("seconds", 5.0);
-  if (scenario.seconds <= 0.0) {
-    throw std::invalid_argument("seconds must be positive");
-  }
+  city.seed = LoadSeed(config, "seed", 1);
+  scenario.seconds = LoadSeconds(config, 5.0);
 
   // [city] — the generator parameters (see shard/city.h for semantics).
   city.width_m = config.GetDouble("city.width_m", city.width_m);

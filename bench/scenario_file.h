@@ -38,7 +38,9 @@
 namespace whitefi::bench {
 
 /// Builds a ScenarioConfig from a parsed description.  Throws
-/// std::runtime_error on unknown map names or invalid values.
+/// std::runtime_error on unknown map names or invalid values, among them
+/// a negative seed or fault.seed, a non-finite or non-positive seconds
+/// and a non-finite or negative warmup.
 ScenarioConfig LoadScenario(const ConfigFile& config);
 
 /// True iff the description declares a [city] section — a city-scale
@@ -58,7 +60,9 @@ struct CityScenario {
 
 /// Builds a CityScenario from a description with a [city] section
 /// (optionally a [shards] section for horizon/trace overrides).  Throws
-/// std::invalid_argument on out-of-range values.
+/// std::runtime_error on a negative seed or a non-finite or non-positive
+/// seconds, and std::invalid_argument on a city the generator cannot
+/// build.
 CityScenario LoadCityScenario(const ConfigFile& config);
 
 }  // namespace whitefi::bench

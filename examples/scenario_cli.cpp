@@ -16,6 +16,10 @@
 // A description with [city] keys runs on the sharded engine; any other is
 // the standard cell of bench::RunScenario.
 //
+// The command line is parsed by bench/flags.h, as in the bench drivers:
+// every flag takes `--flag VALUE` or `--flag=VALUE`, and a number is
+// checked whole (no trailing garbage, finite, in range) before any run.
+//
 // Usage:
 //   scenario_cli [--config FILE] [scenario flags] [--strict] [--audit]
 //                [--audit-budget-ms M] [--verbose] [output flags]
@@ -51,12 +55,15 @@
 // Exit codes: 0 success (for --replay: the violation reproduced exactly;
 // for --audit: no invariant violated), 1 runtime failure / violation found
 // / replay divergence / a scenario that cannot be built (e.g. an unknown
-// map.name), 2 configuration error: bad flags, a malformed file, an
-// unknown key under --strict, or a flag the run cannot honour (a scenario
-// flag whose key the loader never reads, an output flag on a city or a
-// replay, --shards without a city, --minimize without --replay).  Scripts
-// rely on the 1-vs-2 distinction to tell a broken scenario file from a
-// simulation that failed.
+// map.name, a negative seed, a non-positive seconds) / an output file
+// (every FILE above, and --minimize OUT) that cannot be written, which is
+// then not announced, 2 configuration error: a bad flag or value, or a
+// flag the run cannot honour (a scenario flag whose key the loader never
+// reads, an output flag on a city or a replay, --shards without a city,
+// --minimize without --replay), each as `error: FLAG...`; a malformed
+// file or an unknown key under --strict, as `config error: FILE line N:
+// ...`.  Scripts rely on the 1-vs-2 distinction to tell a broken scenario
+// file from a simulation that failed.
 //
 // Examples:
 //   scenario_cli --map building5 --clients 3 --mic 28 --mic-at 5 --trace
@@ -65,12 +72,18 @@
 //   scenario_cli --config ../examples/configs/mic_outage.conf --seed 9
 #include <algorithm>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <iterator>
+#include <map>
+#include <set>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/whitefi.h"
+#include "flags.h"
 #include "fuzz.h"
 #include "scenario_file.h"
 
@@ -81,60 +94,21 @@ namespace {
 /// What a run is.  Each flag works in a set of modes.
 enum Mode : unsigned { kCell = 1, kCity = 2, kReplay = 4 };
 
-/// A command-line flag: the run modes that honour it, the value it takes
-/// (numbers are checked at parse time, so a bad one names the flag) and,
-/// for a scenario flag, the description key it sets.
-struct Flag {
-  const char* name;
-  unsigned modes;
-  enum { kNone, kInt, kReal, kText } type;
-  const char* key;
-};
-
-constexpr Flag kFlags[] = {
-    {"--seed", kCell | kCity, Flag::kInt, "seed"},
-    {"--seconds", kCell | kCity, Flag::kReal, "seconds"},
-    {"--map", kCell | kCity, Flag::kText, "map.name"},
-    {"--clients", kCell | kCity, Flag::kInt, "network.clients"},
-    {"--static", kCell | kCity, Flag::kInt, "network.static_width"},
-    {"--background", kCell | kCity, Flag::kInt, "background.pairs"},
-    {"--ipd", kCell | kCity, Flag::kInt, "background.ipd_ms"},
-    {"--mic", kCell | kCity, Flag::kInt, "mic.tv_channel"},
-    {"--mic-at", kCell | kCity, Flag::kReal, "mic.on_s"},
-    {"--config", kCell | kCity, Flag::kText, nullptr},
-    {"--strict", kCell | kCity, Flag::kNone, nullptr},
-    {"--audit", kCell | kCity, Flag::kNone, nullptr},
-    {"--audit-budget-ms", kCell | kCity, Flag::kInt, nullptr},
-    {"--shards", kCity, Flag::kInt, nullptr},
-    {"--replay", kReplay, Flag::kText, nullptr},
-    {"--minimize", kReplay, Flag::kText, nullptr},
-    {"--verbose", kCell | kCity | kReplay, Flag::kNone, nullptr},
-    {"--metrics", kCell, Flag::kNone, nullptr},
-    {"--metrics-csv", kCell, Flag::kText, nullptr},
-    {"--metrics-json", kCell, Flag::kText, nullptr},
-    {"--trace", kCell, Flag::kNone, nullptr},
-    {"--trace-json", kCell, Flag::kText, nullptr},
-    {"--trace-jsonl", kCell, Flag::kText, nullptr},
-    {"--trace-only", kCell, Flag::kText, nullptr},
-    {"--timeline-csv", kCell, Flag::kText, nullptr},
-    {"--profile", kCell, Flag::kNone, nullptr},
-};
-
-const Flag* FindFlag(const std::string& name) {
-  for (const Flag& flag : kFlags) {
-    if (name == flag.name) return &flag;
-  }
-  return nullptr;
-}
-
-/// A flag as given on the command line.
-struct GivenFlag {
-  const Flag* flag;
-  std::string value;  ///< Empty for a flag that takes none.
+/// A scenario flag as given: the description key it sets, and the value.
+struct KeySetting {
+  std::string_view flag;
+  std::string key;
+  std::string value;
 };
 
 struct Options {
-  std::vector<GivenFlag> given;  ///< Every flag, in command-line order.
+  /// The run modes that honour each flag.
+  std::map<std::string_view, unsigned> modes;
+  /// The flags given, by name.
+  std::set<std::string_view> given;
+  /// The scenario flags given, in command-line order.
+  std::vector<KeySetting> settings;
+  bool help = false;
   bool verbose = false;
   std::string config_file;  ///< Empty: start from an empty description.
   /// Unknown keys (typos) reject the file instead of only printing a
@@ -143,7 +117,7 @@ struct Options {
   /// Run under the invariant auditor.
   bool audit = false;
   /// Incumbent-safety budget override in ms (0 = auditor default).
-  long long audit_budget_ms = 0;
+  int audit_budget_ms = 0;
   /// City runs: worker threads for the shard engine.  Purely an execution
   /// knob — results are byte-identical for any value.
   int shards = 1;
@@ -162,6 +136,82 @@ struct Options {
   std::string timeline_csv;  ///< Protocol-state intervals as CSV.
   bool profile = false;
 };
+
+/// Parses argv into `o` through bench::ParseFlags, which exits 2 on a flag
+/// or value it cannot use.  A scenario flag's value is checked here, so a
+/// bad one names the flag, and set on the description in Run.
+void ParseOptions(int argc, char** argv, Options& o) {
+  const auto setting = [&o](std::string_view name, std::string key,
+                            auto check) -> bench::Flag {
+    return {name, [&o, name, key, check](const std::string& value) {
+              check(name, value);
+              o.settings.push_back({name, key, value});
+            }};
+  };
+  const auto integer = [](std::string_view flag, std::string_view value) {
+    bench::ParseValue<long long>(flag, value);
+  };
+  const auto real = [](std::string_view flag, std::string_view value) {
+    bench::ParseValue<double>(flag, value);
+  };
+  const auto text = [](std::string_view, std::string_view) {};
+  const bench::Flag trace_only{
+      "--trace-only", [&o](const std::string& value) {
+        std::istringstream list(value);
+        for (std::string name; std::getline(list, name, ',');) {
+          if (name.empty()) continue;
+          const auto kind = ParseTraceEventKind(name);
+          if (!kind) {
+            throw std::invalid_argument("--trace-only: unknown event kind '" +
+                                        name + "'");
+          }
+          o.trace_only.push_back(*kind);
+        }
+        if (o.trace_only.empty()) {
+          throw std::invalid_argument("--trace-only: empty kind list");
+        }
+      }};
+  const std::vector<std::pair<unsigned, std::vector<bench::Flag>>> table{
+      {kCell | kCity,
+       {setting("--seed", "seed", integer),
+        setting("--seconds", "seconds", real),
+        setting("--map", "map.name", text),
+        setting("--clients", "network.clients", integer),
+        setting("--static", "network.static_width", integer),
+        setting("--background", "background.pairs", integer),
+        setting("--ipd", "background.ipd_ms", integer),
+        setting("--mic", "mic.tv_channel", integer),
+        setting("--mic-at", "mic.on_s", real),
+        bench::Text("--config", o.config_file),
+        bench::Switch("--strict", o.strict),
+        bench::Switch("--audit", o.audit),
+        bench::Number("--audit-budget-ms", o.audit_budget_ms, 0)}},
+      {kCity, {bench::Number("--shards", o.shards, 1)}},
+      {kReplay,
+       {bench::Text("--replay", o.replay_bundle),
+        bench::Text("--minimize", o.minimize_out)}},
+      {kCell | kCity | kReplay,
+       {bench::Switch("--verbose", o.verbose),
+        bench::Switch("--help", o.help), bench::Switch("-h", o.help)}},
+      {kCell,
+       {bench::Switch("--metrics", o.metrics),
+        bench::Text("--metrics-csv", o.metrics_csv),
+        bench::Text("--metrics-json", o.metrics_json),
+        bench::Switch("--trace", o.trace),
+        bench::Text("--trace-json", o.trace_json),
+        bench::Text("--trace-jsonl", o.trace_jsonl), trace_only,
+        bench::Text("--timeline-csv", o.timeline_csv),
+        bench::Switch("--profile", o.profile)}},
+  };
+  std::vector<bench::Flag> flags;
+  for (const auto& [modes, group] : table) {
+    for (const bench::Flag& flag : group) {
+      o.modes[flag.name] = modes;
+      flags.push_back(flag);
+    }
+  }
+  o.given = bench::ParseFlags(argc, argv, flags);
+}
 
 /// Owns the observability sinks for one CLI run and renders the outputs.
 struct ObsSession {
@@ -221,16 +271,19 @@ struct ObsSession {
     return obs;
   }
 
-  static void ReportFile(const std::ofstream& out, const std::string& what,
-                         const std::string& path) {
-    if (out.good()) {
-      std::cout << what << " written to " << path << "\n";
-    } else {
-      std::cerr << "error: cannot write " << what << " to " << path << "\n";
-    }
+  /// Writes `path`, when one was given, through bench::WriteOutput and
+  /// announces it; false when it could not be written.
+  static bool WriteFile(const std::string& what, const std::string& path,
+                        const std::function<void(std::ostream&)>& write) {
+    if (path.empty()) return true;
+    if (!bench::WriteOutput(what, path, write)) return false;
+    std::cout << what << " written to " << path << "\n";
+    return true;
   }
 
-  void WriteOutputs(double sim_seconds) {
+  /// Prints and writes the requested outputs; false when a file could not
+  /// be written (the rest are then skipped).
+  bool WriteOutputs(double sim_seconds) {
     if (options.trace) {
       std::cout << "\ntrace:\n";
       for (const TraceEvent& e : events.events()) {
@@ -243,137 +296,51 @@ struct ObsSession {
     if (options.metrics) {
       std::cout << "\nmetrics:\n" << registry.Snapshot().ToText();
     }
-    if (!options.metrics_csv.empty()) {
-      std::ofstream out(options.metrics_csv);
-      out << registry.Snapshot().ToCsv();
-      ReportFile(out, "metrics csv", options.metrics_csv);
-    }
-    if (!options.metrics_json.empty()) {
-      std::ofstream out(options.metrics_json);
-      out << registry.Snapshot().ToJson() << "\n";
-      ReportFile(out, "metrics json", options.metrics_json);
-    }
-    if (!options.trace_json.empty()) {
-      std::ofstream out(options.trace_json);
-      events.WriteChromeTrace(out);
-      ReportFile(out,
-                 "chrome trace (" + std::to_string(events.events().size()) +
-                     " events)",
-                 options.trace_json);
-    }
-    if (!options.trace_jsonl.empty()) {
-      std::ofstream out(options.trace_jsonl);
-      events.WriteJsonl(out);
-      ReportFile(out,
-                 "event trace (" + std::to_string(events.events().size()) +
-                     " events)",
-                 options.trace_jsonl);
-    }
     if (!options.timeline_csv.empty()) {
       timeline.Close(static_cast<std::int64_t>(sim_seconds * kTicksPerSec));
-      std::ofstream out(options.timeline_csv);
-      out << "node,state,begin_us,end_us,duration_us\n";
-      for (const StateInterval& iv : timeline.intervals()) {
-        out << iv.node << "," << iv.state << "," << iv.begin_us << ","
-            << iv.end_us << "," << iv.DurationUs() << "\n";
-      }
-      ReportFile(out,
-                 "state timeline (" +
-                     std::to_string(timeline.intervals().size()) +
-                     " intervals)",
-                 options.timeline_csv);
     }
+    const std::string num_events =
+        " (" + std::to_string(events.events().size()) + " events)";
+    const bool written =
+        WriteFile("metrics csv", options.metrics_csv,
+                  [&](std::ostream& os) {
+                    os << registry.Snapshot().ToCsv();
+                  }) &&
+        WriteFile("metrics json", options.metrics_json,
+                  [&](std::ostream& os) {
+                    os << registry.Snapshot().ToJson() << "\n";
+                  }) &&
+        WriteFile("chrome trace" + num_events, options.trace_json,
+                  [&](std::ostream& os) { events.WriteChromeTrace(os); }) &&
+        WriteFile("event trace" + num_events, options.trace_jsonl,
+                  [&](std::ostream& os) { events.WriteJsonl(os); }) &&
+        WriteFile("state timeline (" +
+                      std::to_string(timeline.intervals().size()) +
+                      " intervals)",
+                  options.timeline_csv, [&](std::ostream& os) {
+                    os << "node,state,begin_us,end_us,duration_us\n";
+                    for (const StateInterval& iv : timeline.intervals()) {
+                      os << iv.node << "," << iv.state << "," << iv.begin_us
+                         << "," << iv.end_us << "," << iv.DurationUs()
+                         << "\n";
+                    }
+                  });
+    if (!written) return false;
     if (options.profile) {
       std::cout << "\nphase profile:\n" << profiler.ToString(sim_seconds);
     }
+    return true;
   }
 };
 
-bool ParseOptions(int argc, char** argv, Options& options) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--help" || flag == "-h") return false;
-    const Flag* spec = FindFlag(flag);
-    if (spec == nullptr) throw std::invalid_argument("unknown flag: " + flag);
-    std::string value;
-    if (spec->type != Flag::kNone) {
-      if (i + 1 >= argc) throw std::invalid_argument(flag + " needs a value");
-      value = argv[++i];
-    }
-    options.given.push_back({spec, value});
-    // stoll/stod raise bare "stoll"-style messages, and out-of-range
-    // values raise std::out_of_range, which the top-level handler would
-    // misfile as a runtime error (exit 1).  Rewrap both so every bad flag
-    // value is a configuration error naming the flag, and reject trailing
-    // garbage ("3x") that the bare conversions silently accept.
-    long long number = 0;
-    try {
-      std::size_t used = value.size();
-      if (spec->type == Flag::kInt) number = std::stoll(value, &used);
-      if (spec->type == Flag::kReal) std::stod(value, &used);
-      if (used != value.size()) throw std::invalid_argument(value);
-    } catch (const std::exception&) {
-      throw std::invalid_argument(flag + ": expected a number, got '" +
-                                  value + "'");
-    }
-    if (spec->key != nullptr) continue;  // Set on the description in Run.
-    if (flag == "--verbose") options.verbose = true;
-    else if (flag == "--trace") options.trace = true;
-    else if (flag == "--config") options.config_file = value;
-    else if (flag == "--strict") options.strict = true;
-    else if (flag == "--audit") options.audit = true;
-    else if (flag == "--audit-budget-ms") options.audit_budget_ms = number;
-    else if (flag == "--shards") {
-      if (number < 1) {
-        throw std::invalid_argument("--shards: expected a count >= 1, got " +
-                                    std::to_string(number));
-      }
-      options.shards = static_cast<int>(number);
-    }
-    else if (flag == "--replay") options.replay_bundle = value;
-    else if (flag == "--minimize") options.minimize_out = value;
-    else if (flag == "--metrics") options.metrics = true;
-    else if (flag == "--metrics-csv") options.metrics_csv = value;
-    else if (flag == "--metrics-json") options.metrics_json = value;
-    else if (flag == "--trace-json") options.trace_json = value;
-    else if (flag == "--trace-jsonl") options.trace_jsonl = value;
-    else if (flag == "--trace-only") {
-      std::size_t start = 0;
-      while (start <= value.size()) {
-        const std::size_t comma = value.find(',', start);
-        const std::string name =
-            value.substr(start, comma == std::string::npos ? std::string::npos
-                                                           : comma - start);
-        if (!name.empty()) {
-          const auto kind = ParseTraceEventKind(name);
-          if (!kind) {
-            throw std::invalid_argument("--trace-only: unknown event kind '" +
-                                        name + "'");
-          }
-          options.trace_only.push_back(*kind);
-        }
-        if (comma == std::string::npos) break;
-        start = comma + 1;
-      }
-      if (options.trace_only.empty()) {
-        throw std::invalid_argument("--trace-only: empty kind list");
-      }
-    }
-    else if (flag == "--timeline-csv") options.timeline_csv = value;
-    else if (flag == "--profile") options.profile = true;
-  }
-  return true;
-}
-
-/// Rejects, naming it, the first flag given that `mode` cannot honour.
+/// Rejects, naming it, a flag given that `mode` cannot honour.
 void CheckFlags(const Options& options, Mode mode) {
-  for (const GivenFlag& given : options.given) {
-    if ((given.flag->modes & mode) != 0) continue;
+  for (std::string_view name : options.given) {
+    if ((options.modes.at(name) & mode) != 0) continue;
     const char* what = mode == kCell   ? "a single-cell scenario"
                        : mode == kCity ? "a [city] scenario"
                                        : "--replay";
-    throw std::invalid_argument(std::string(given.flag->name) +
-                                " cannot be used with " + what);
+    bench::FlagError(std::string(name) + " cannot be used with " + what);
   }
 }
 
@@ -382,12 +349,11 @@ void CheckFlags(const Options& options, Mode mode) {
 /// default and reject the file under --strict.
 void ReportUnusedKeys(const Options& options, const ConfigFile& config) {
   const std::vector<std::string> unknown = config.UnconsumedKeys();
-  for (const GivenFlag& given : options.given) {
-    const char* key = given.flag->key;
-    if (key != nullptr &&
-        std::find(unknown.begin(), unknown.end(), key) != unknown.end()) {
-      throw std::invalid_argument(std::string(given.flag->name) +
-                                  ": this scenario never reads " + key);
+  for (const KeySetting& setting : options.settings) {
+    if (std::find(unknown.begin(), unknown.end(), setting.key) !=
+        unknown.end()) {
+      bench::FlagError(std::string(setting.flag) +
+                       ": this scenario never reads " + setting.key);
     }
   }
   if (unknown.empty()) return;
@@ -484,8 +450,9 @@ int RunCell(const Options& options, const ConfigFile& config) {
               << " pushes, " << result.geodb_degraded << " degraded / "
               << result.geodb_recovered << " recovered transitions\n";
   }
-  if (obs.Wanted()) {
-    obs.WriteOutputs(scenario.warmup_s + scenario.measure_s);
+  if (obs.Wanted() &&
+      !obs.WriteOutputs(scenario.warmup_s + scenario.measure_s)) {
+    return 1;
   }
   if (options.audit) {
     if (auditor.ok()) {
@@ -508,8 +475,8 @@ int Run(const Options& options) {
   if (!options.config_file.empty()) {
     config = ConfigFile::Load(options.config_file);
   }
-  for (const GivenFlag& given : options.given) {
-    if (given.flag->key != nullptr) config.Set(given.flag->key, given.value);
+  for (const KeySetting& setting : options.settings) {
+    config.Set(setting.key, setting.value);
   }
   return bench::IsCityScenario(config) ? RunCity(options, config)
                                        : RunCell(options, config);
@@ -529,8 +496,10 @@ int RunReplay(const Options& options) {
   if (!options.minimize_out.empty()) {
     int steps = 0;
     bundle = bench::MinimizeBundle(bundle, &steps);
-    std::ofstream out(options.minimize_out);
-    out << bundle;
+    if (!bench::WriteOutput("minimized bundle", options.minimize_out,
+                            [&](std::ostream& os) { os << bundle; })) {
+      return 1;
+    }
     std::cout << "minimized bundle (" << steps << " reductions accepted) -> "
               << options.minimize_out << "\n";
   }
@@ -550,25 +519,27 @@ constexpr int kExitConfigError = 2;
 
 int main(int argc, char** argv) {
   Options options;
+  ParseOptions(argc, argv, options);
+  if (options.help) {
+    std::cout << "usage: scenario_cli [--config FILE] [--seed N] "
+                 "[--seconds S] [--map NAME] [--clients N] "
+                 "[--static 5|10|20] [--background N] [--ipd MS] "
+                 "[--mic TV] [--mic-at S] [--strict] [--audit] "
+                 "[--audit-budget-ms M] [--shards N] [--verbose] "
+                 "[--metrics] [--metrics-csv FILE] [--metrics-json FILE] "
+                 "[--trace] [--trace-json FILE] [--trace-jsonl FILE] "
+                 "[--trace-only K,K,...] [--timeline-csv FILE] "
+                 "[--profile]\n"
+                 "       scenario_cli --replay BUNDLE [--minimize OUT]\n"
+                 "every flag takes its value as --flag VALUE or "
+                 "--flag=VALUE; scenario flags set the description key "
+                 "they name; a flag the run cannot honour exits 2\n"
+                 "exit codes: 0 success / reproduced / invariants held, "
+                 "1 runtime failure / violation / divergence / unwritable "
+                 "output, 2 configuration error\n";
+    return 0;
+  }
   try {
-    if (!ParseOptions(argc, argv, options)) {
-      std::cout << "usage: scenario_cli [--config FILE] [--seed N] "
-                   "[--seconds S] [--map NAME] [--clients N] "
-                   "[--static 5|10|20] [--background N] [--ipd MS] "
-                   "[--mic TV] [--mic-at S] [--strict] [--audit] "
-                   "[--audit-budget-ms M] [--shards N] [--verbose] "
-                   "[--metrics] [--metrics-csv FILE] [--metrics-json FILE] "
-                   "[--trace] [--trace-json FILE] [--trace-jsonl FILE] "
-                   "[--trace-only K,K,...] [--timeline-csv FILE] "
-                   "[--profile]\n"
-                   "       scenario_cli --replay BUNDLE [--minimize OUT]\n"
-                   "scenario flags set the description key they name; a "
-                   "flag the run cannot honour exits 2\n"
-                   "exit codes: 0 success / reproduced / invariants held, "
-                   "1 runtime failure / violation / divergence, "
-                   "2 configuration error\n";
-      return 0;
-    }
     if (options.verbose) SetLogLevel(LogLevel::kInfo);
     return options.replay_bundle.empty() ? Run(options) : RunReplay(options);
   } catch (const ConfigError& e) {
@@ -576,7 +547,7 @@ int main(int argc, char** argv) {
     std::cerr << "config error: " << e.what() << "\n";
     return kExitConfigError;
   } catch (const std::invalid_argument& e) {
-    // Flag-parsing problems are configuration errors too.
+    // The city generator refuses a layout it cannot build.
     std::cerr << "config error: " << e.what() << "\n";
     return kExitConfigError;
   } catch (const std::exception& e) {

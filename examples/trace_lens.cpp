@@ -8,6 +8,10 @@
 // Usage:
 //   trace_lens TRACE.jsonl [--html OUT.html] [--cause-window-ms N]
 //
+// The trace comes first; the flags after it are parsed by bench/flags.h,
+// as in scenario_cli and the bench drivers: `--flag VALUE` or
+// `--flag=VALUE`, and --cause-window-ms takes whole ms in [0, INT_MAX].
+//
 // Output (stdout):
 //   * per-node protocol-state summary (total time in each state);
 //   * one row per client recovery: when it started, how long it took,
@@ -26,8 +30,9 @@
 // no external assets): a state timeline per run with incumbent on/off
 // markers, plus the recovery table.
 //
-// Exit codes: 0 success, 1 runtime failure (unreadable trace), 2 bad
-// flags — same contract as scenario_cli.
+// Exit codes: 0 success, 1 runtime failure (an unreadable trace, or an
+// --html report that cannot be written, which is then not announced),
+// 2 bad flags or a missing operand — same contract as scenario_cli.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -38,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "flags.h"
 #include "obs/event_trace.h"
 #include "obs/span.h"
 #include "obs/state_timeline.h"
@@ -49,45 +55,26 @@ namespace {
 struct Options {
   std::string trace_path;
   std::string html_path;
-  std::int64_t cause_window_ms = 3000;
+  int cause_window_ms = 3000;
+  bool help = false;
 };
 
-bool ParseOptions(int argc, char** argv, Options& options) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) throw std::invalid_argument(flag + " needs a value");
-      return argv[++i];
-    };
-    if (flag == "--html") {
-      options.html_path = next();
-    } else if (flag == "--cause-window-ms") {
-      const std::string value = next();
-      try {
-        std::size_t used = 0;
-        options.cause_window_ms = std::stoll(value, &used);
-        if (used != value.size() || options.cause_window_ms < 0) {
-          throw std::invalid_argument(value);
-        }
-      } catch (const std::exception&) {
-        throw std::invalid_argument(
-            "--cause-window-ms: expected a non-negative number, got '" +
-            value + "'");
-      }
-    } else if (flag == "--help" || flag == "-h") {
-      return false;
-    } else if (!flag.empty() && flag[0] == '-') {
-      throw std::invalid_argument("unknown flag: " + flag);
-    } else if (options.trace_path.empty()) {
-      options.trace_path = flag;
-    } else {
-      throw std::invalid_argument("unexpected extra operand: " + flag);
-    }
+/// Parses argv through bench::ParseFlags, which exits 2 on a flag or value
+/// it cannot use.  The trace is the leading operand; the flags follow it.
+Options ParseOptions(int argc, char** argv) {
+  Options options;
+  const bool has_trace = argc > 1 && argv[1][0] != '-';
+  if (has_trace) options.trace_path = argv[1];
+  bench::ParseFlags(argc - has_trace, argv + has_trace,
+                    {bench::Text("--html", options.html_path),
+                     bench::Number("--cause-window-ms",
+                                   options.cause_window_ms, 0),
+                     bench::Switch("--help", options.help),
+                     bench::Switch("-h", options.help)});
+  if (!has_trace && !options.help) {
+    bench::FlagError("missing TRACE.jsonl operand");
   }
-  if (options.trace_path.empty()) {
-    throw std::invalid_argument("missing TRACE.jsonl operand");
-  }
-  return true;
+  return options;
 }
 
 std::string FormatSeconds(std::int64_t us) {
@@ -426,18 +413,14 @@ void WriteHtmlReport(std::ostream& os, std::size_t num_events,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options options;
-  try {
-    if (!ParseOptions(argc, argv, options)) {
-      std::cout << "usage: trace_lens TRACE.jsonl [--html OUT.html] "
-                   "[--cause-window-ms N]\n"
-                   "exit codes: 0 success, 1 runtime failure, "
-                   "2 bad flags\n";
-      return 0;
-    }
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "config error: " << e.what() << "\n";
-    return 2;
+  const Options options = ParseOptions(argc, argv);
+  if (options.help) {
+    std::cout << "usage: trace_lens TRACE.jsonl [--html OUT.html] "
+                 "[--cause-window-ms N]\n"
+                 "flags take --flag VALUE or --flag=VALUE\n"
+                 "exit codes: 0 success, 1 runtime failure (unreadable "
+                 "trace, unwritable report), 2 bad flags\n";
+    return 0;
   }
 
   try {
@@ -449,7 +432,8 @@ int main(int argc, char** argv) {
     const std::vector<TraceEvent> events = EventTrace::ReadJsonl(in);
 
     AnalyzeOptions analyze_options;
-    analyze_options.cause_window_us = options.cause_window_ms * 1000;
+    analyze_options.cause_window_us =
+        std::int64_t{options.cause_window_ms} * 1000;
     std::vector<RunView> runs;
     for (std::vector<TraceEvent>& segment : SplitRuns(events)) {
       RunView run;
@@ -468,14 +452,13 @@ int main(int argc, char** argv) {
     PrintAttribution(runs);
 
     if (!options.html_path.empty()) {
-      std::ofstream out(options.html_path);
-      WriteHtmlReport(out, events.size(), runs);
-      if (out.good()) {
-        std::cout << "\nhtml report written to " << options.html_path << "\n";
-      } else {
-        std::cerr << "error: cannot write " << options.html_path << "\n";
+      if (!bench::WriteOutput("html report", options.html_path,
+                              [&](std::ostream& os) {
+                                WriteHtmlReport(os, events.size(), runs);
+                              })) {
         return 1;
       }
+      std::cout << "\nhtml report written to " << options.html_path << "\n";
     }
     return 0;
   } catch (const std::exception& e) {

@@ -83,9 +83,6 @@ struct AuditConfig {
   /// budget suggested by the caller of SetGeoTruth (the geodb runtime
   /// derives it from its own timing parameters).
   SimTime geo_budget = 0;
-  /// Halt the simulator on the first violation (the repro itself is
-  /// post-run either way; stopping just shortens doomed runs).
-  bool stop_on_violation = false;
   /// Violations retained verbatim (the count is always exact).
   std::size_t max_recorded = 64;
 };

@@ -231,7 +231,6 @@ void ApNode::ApplyPendingSwitch() {
       revert_armed_ = false;
       const double post = RecentThroughputBps(params_.revert_check_delay);
       if (post < params_.revert_tolerance * pre_switch_rate_bps_) {
-        ++reverts_;
         MetricsRegistry::Count(world_.metrics(), "whitefi.ap.reverts");
         BeginEpisode("ap.assignment/revert", world_.NextTraceId());
         AnnounceAndSwitch(revert_channel_, revert_backup_,

@@ -71,7 +71,6 @@ class ApNode : public Device {
   int NumKnownClients() const { return static_cast<int>(clients_.size()); }
   int num_switches() const { return switches_; }
   int num_voluntary_switches() const { return voluntary_switches_; }
-  int num_reverts() const { return reverts_; }
   Scanner& scanner() { return scanner_; }
   const SpectrumAssigner& assigner() const { return assigner_; }
 
@@ -123,7 +122,6 @@ class ApNode : public Device {
   std::map<int, ClientInfo> clients_;
   int switches_ = 0;
   int voluntary_switches_ = 0;
-  int reverts_ = 0;
   double last_metric_ = 0.0;
 
   // In-flight switch announcement.

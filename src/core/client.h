@@ -78,10 +78,6 @@ class ClientNode : public Device {
   void OnFrameReceived(const Frame& frame, Dbm rx_power) override;
   void OnChannelSwitched(const Channel& channel) override;
 
-  /// Reconnect-escalation stage: 0 = backup, 1 = secondary backup,
-  /// >= 2 = full-sweep hops.  Only advances when reconnect_escalation on.
-  int reconnect_stage() const { return reconnect_stage_; }
-
  private:
   void CheckContact();
   void Chirp();

@@ -1,10 +1,5 @@
 #include "core/sim_discovery.h"
 
-#include <algorithm>
-
-#include "sift/batch.h"
-#include "util/rng.h"
-
 namespace whitefi {
 
 SimulatedScanEnvironment::SimulatedScanEnvironment(World& world,
@@ -57,115 +52,6 @@ std::optional<SiftDetection> SimulatedScanEnvironment::SiftScan(UhfIndex c) {
     return SiftDetection{device->TunedChannel().width, 1};
   }
   return std::nullopt;
-}
-
-void SimulatedScanEnvironment::EnsureBatchScanner() {
-  if (batch_ready_) return;
-  batch_ready_ = true;
-  // A named substream of the world seed, NOT World::NewRng(): forking the
-  // world stream here would shift every later fork and change worlds that
-  // never batch-scan.
-  batch_synth_.emplace(
-      SignalParams{},
-      Rng(DeriveSeed(world_.config().seed, "sim-discovery-batch")));
-  batch_synth_->SetProfiler(world_.profiler());
-  world_.medium().AddFrameTap([this](const Channel& channel,
-                                     const Frame& frame, const RadioPort&) {
-    if (!batch_dwelling_) return;
-    const PhyTiming timing = PhyTiming::ForWidth(channel.width);
-    const Us duration = timing.FrameDuration(frame.bytes);
-    const Us end = ToUs(world_.sim().Now() - batch_dwell_started_);
-    BatchHeard heard;
-    heard.channel = channel;
-    heard.start = end - duration;
-    heard.duration = duration;
-    heard.ramp = channel.width == ChannelWidth::kW5;
-    batch_heard_.push_back(heard);
-  });
-}
-
-std::vector<std::optional<SiftDetection>>
-SimulatedScanEnvironment::SiftScanBatch(std::span<const UhfIndex> channels) {
-  ScopedPhaseTimer timer(world_.profiler(), "discovery.scan");
-  std::vector<std::optional<SiftDetection>> results(channels.size());
-  if (channels.empty()) return results;
-  EnsureBatchScanner();
-  MetricsRegistry::Count(world_.metrics(), "whitefi.discovery.probes",
-                         channels.size());
-  {
-    TraceEvent event;
-    event.kind = TraceEventKind::kDiscoveryProbe;
-    event.node = searcher_.NodeId();
-    event.detail = "sift batch x" + std::to_string(channels.size());
-    world_.TraceEventNow(std::move(event));
-  }
-
-  // One dwell covers every requested channel.
-  // Freeze only the dwelt channels (one ChannelBooks per lane) instead of
-  // a full 30-channel SnapshotBooks copy.
-  std::vector<ChannelBooks> before(channels.size());
-  for (std::size_t lane = 0; lane < channels.size(); ++lane) {
-    before[lane] = world_.medium().ChannelBooksAt(channels[lane]);
-  }
-  batch_heard_.clear();
-  batch_dwelling_ = true;
-  batch_dwell_started_ = world_.sim().Now();
-  world_.RunFor(ToSeconds(sift_dwell_));
-  batch_dwelling_ = false;
-  spent_ += sift_dwell_;
-
-  // Per-lane burst schedules from the tapped frames.
-  const Us window = ToUs(sift_dwell_);
-  lane_bursts_.resize(channels.size());
-  for (auto& lane : lane_bursts_) lane.clear();
-  for (const BatchHeard& heard : batch_heard_) {
-    for (std::size_t lane = 0; lane < channels.size(); ++lane) {
-      if (!heard.channel.Contains(channels[lane])) continue;
-      Burst burst;
-      burst.start = std::max(0.0, heard.start);
-      burst.duration = std::min(heard.duration, window - burst.start);
-      burst.ramp_artifact = heard.ramp;
-      if (burst.duration > 0.0) lane_bursts_[lane].push_back(burst);
-    }
-  }
-  std::vector<std::span<const Burst>> schedules;
-  schedules.reserve(channels.size());
-  for (auto& lane : lane_bursts_) {
-    std::sort(lane.begin(), lane.end(),
-              [](const Burst& a, const Burst& b) { return a.start < b.start; });
-    schedules.emplace_back(lane);
-  }
-
-  // Synthesize all lanes, classify all lanes — one call each.
-  batch_synth_->SynthesizeBatchInto(schedules, window, batch_trace_);
-  SiftBatch batch(SiftParams{}, channels.size());
-  batch.SetObservability(world_.obs());
-  const auto lane_spans = batch_trace_.LaneSpans();
-  const auto detected = batch.DetectAll(lane_spans);
-
-  // A lane detects when SIFT saw bursts in its trace and the airtime books
-  // attribute target-network energy to its channel (same verdict as the
-  // single-channel SiftScan, which trusts the books alone — here the
-  // signal domain must concur).
-  const std::vector<int> members = world_.NodesInSsid(target_ssid_);
-  for (std::size_t lane = 0; lane < channels.size(); ++lane) {
-    if (detected[lane].empty()) continue;
-    const auto& b = before[lane].per_node;
-    const auto& a =
-        world_.medium().ChannelBooksAt(channels[lane]).per_node;
-    for (int id : members) {
-      const auto bt = b.find(id);
-      const auto at = a.find(id);
-      const Us before_time = bt == b.end() ? 0.0 : bt->second;
-      const Us after_time = at == a.end() ? 0.0 : at->second;
-      if (after_time <= before_time) continue;
-      const Device* device = world_.FindDevice(id);
-      if (device == nullptr) continue;
-      results[lane] = SiftDetection{device->TunedChannel().width, 1};
-      break;
-    }
-  }
-  return results;
 }
 
 bool SimulatedScanEnvironment::TryDecodeBeacon(const Channel& channel) {

@@ -14,11 +14,8 @@
 #pragma once
 
 #include <optional>
-#include <span>
-#include <vector>
 
 #include "core/discovery.h"
-#include "phy/signal.h"
 #include "sim/world.h"
 
 namespace whitefi {
@@ -36,35 +33,6 @@ class SimulatedScanEnvironment : public ScanEnvironment {
   std::optional<SiftDetection> SiftScan(UhfIndex c) override;
   bool TryDecodeBeacon(const Channel& channel) override;
 
-  /// Scans several UHF channels in ONE dwell: the wideband secondary radio
-  /// watches all of them simultaneously, so a full sweep costs one dwell
-  /// instead of one per channel.  During the dwell a frame tap records the
-  /// transmissions crossing each requested channel; afterwards every
-  /// channel's amplitude trace is synthesized and classified in one
-  /// batched pass (SignalSynthesizer::SynthesizeBatchInto feeding
-  /// SiftBatch) — a lane detects only when real SIFT bursts appear in its
-  /// trace AND the airtime books attribute target-network energy to it,
-  /// matching the single-channel SiftScan verdict.
-  ///
-  /// Returns one entry per input channel, in order.  The first call lazily
-  /// installs the tap and seeds the batch synthesizer from a named
-  /// substream of the world seed, so worlds that never batch-scan are
-  /// bit-identical to worlds built before this API existed.
-  std::vector<std::optional<SiftDetection>> SiftScanBatch(
-      std::span<const UhfIndex> channels);
-
- private:
-  /// One transmission overheard during a batch dwell.
-  struct BatchHeard {
-    Channel channel;  ///< The sender's operating channel.
-    Us start = 0.0;   ///< Relative to dwell start.
-    Us duration = 0.0;
-    bool ramp = false;  ///< 5 MHz ramp artifact applies.
-  };
-
-  void EnsureBatchScanner();
-
- public:
   /// Simulation time consumed by scans so far.
   SimTime TimeSpent() const { return spent_; }
 
@@ -76,16 +44,6 @@ class SimulatedScanEnvironment : public ScanEnvironment {
   SimTime listen_dwell_;
   SimTime spent_ = 0;
   int beacons_heard_ = 0;
-
-  // Batched scan state (lazy; see SiftScanBatch).
-  bool batch_ready_ = false;
-  bool batch_dwelling_ = false;
-  SimTime batch_dwell_started_ = 0;
-  std::vector<BatchHeard> batch_heard_;
-  std::optional<SignalSynthesizer> batch_synth_;
-  /// Scratch reused across batch scans (lane schedules + flat traces).
-  std::vector<std::vector<Burst>> lane_bursts_;
-  BatchTrace batch_trace_;
 };
 
 }  // namespace whitefi

@@ -50,31 +50,9 @@ void SignalSynthesizer::SynthesizeInto(std::span<const Burst> bursts,
       std::ceil(total_duration / params_.sample_period));
   // The reused buffer keeps its capacity across calls.
   samples.resize(num_samples);
-  SynthesizeLane(rng_, bursts, samples);
-}
-
-void SignalSynthesizer::SynthesizeBatchInto(
-    std::span<const std::span<const Burst>> lane_bursts, Us total_duration,
-    BatchTrace& out) {
-  ScopedPhaseTimer timer(profiler_, "phy.synthesize");
-  const auto num_samples = static_cast<std::size_t>(
-      std::ceil(total_duration / params_.sample_period));
-  out.lanes = lane_bursts.size();
-  out.samples_per_lane = num_samples;
-  out.samples.resize(out.lanes * num_samples);
-  for (std::size_t lane = 0; lane < out.lanes; ++lane) {
-    // One fork per lane, in lane order, so lane traces are reproducible
-    // from the synthesizer's stream position alone.
-    Rng lane_rng = rng_.Fork();
-    SynthesizeLane(lane_rng, lane_bursts[lane], out.Lane(lane));
-  }
-}
-
-void SignalSynthesizer::SynthesizeLane(Rng& rng, std::span<const Burst> bursts,
-                                       std::span<double> samples) {
-  const std::size_t num_samples = samples.size();
+  const std::span<double> trace(samples);
   // Start from the noise floor everywhere (one batched pass).
-  rng.FillRayleigh(params_.noise_sigma, samples);
+  rng_.FillRayleigh(params_.noise_sigma, trace);
 
   const double sigma = AttenuatedSignalSigma();
   for (const Burst& burst : bursts) {
@@ -83,8 +61,8 @@ void SignalSynthesizer::SynthesizeLane(Rng& rng, std::span<const Burst> bursts,
     double ramp_factor = 1.0;
     if (burst.ramp_artifact) {
       ramp_duration =
-          rng.Uniform(params_.ramp_min_duration, params_.ramp_max_duration);
-      ramp_factor = rng.Bernoulli(params_.deep_ramp_probability)
+          rng_.Uniform(params_.ramp_min_duration, params_.ramp_max_duration);
+      ramp_factor = rng_.Bernoulli(params_.deep_ramp_probability)
                         ? params_.deep_ramp_factor
                         : params_.shallow_ramp_factor;
     }
@@ -108,9 +86,9 @@ void SignalSynthesizer::SynthesizeLane(Rng& rng, std::span<const Burst> bursts,
       }
     }
     const double burst_sigma = sigma * burst.amplitude_scale;
-    MergeRayleigh(rng, burst_sigma * ramp_factor,
-                  samples.subspan(first, split - first));
-    MergeRayleigh(rng, burst_sigma, samples.subspan(split, last - split));
+    MergeRayleigh(rng_, burst_sigma * ramp_factor,
+                  trace.subspan(first, split - first));
+    MergeRayleigh(rng_, burst_sigma, trace.subspan(split, last - split));
   }
 }
 

@@ -68,30 +68,6 @@ struct Burst {
   double amplitude_scale = 1.0;
 };
 
-/// Lane-packed multi-channel amplitude trace: `lanes` equal-length traces
-/// stored back to back in one flat buffer, ready to stream through a
-/// `SiftBatch` without per-lane allocations.
-struct BatchTrace {
-  std::vector<double> samples;        ///< Flat lanes x samples_per_lane.
-  std::size_t lanes = 0;
-  std::size_t samples_per_lane = 0;
-
-  std::span<double> Lane(std::size_t lane) {
-    return {samples.data() + lane * samples_per_lane, samples_per_lane};
-  }
-  std::span<const double> Lane(std::size_t lane) const {
-    return {samples.data() + lane * samples_per_lane, samples_per_lane};
-  }
-
-  /// Per-lane const views (the shape SiftBatch::DetectAll consumes).
-  std::vector<std::span<const double>> LaneSpans() const {
-    std::vector<std::span<const double>> spans;
-    spans.reserve(lanes);
-    for (std::size_t i = 0; i < lanes; ++i) spans.push_back(Lane(i));
-    return spans;
-  }
-};
-
 /// Synthesizes amplitude-sample traces from burst schedules.
 class SignalSynthesizer {
  public:
@@ -111,16 +87,6 @@ class SignalSynthesizer {
   void SynthesizeInto(std::span<const Burst> bursts, Us total_duration,
                       std::vector<double>& samples);
 
-  /// Synthesizes one trace per lane into a flat batch buffer (resized to
-  /// lane_bursts.size() x ceil(total_duration / sample_period)): the
-  /// multi-channel dwell path, feeding `SiftBatch` in one call.  Each lane
-  /// draws from its own stream forked off this synthesizer in lane order,
-  /// so lane i's trace is exactly what a dedicated synthesizer seeded with
-  /// the i-th fork would produce — deterministic and independent of how
-  /// the other lanes' schedules look.
-  void SynthesizeBatchInto(std::span<const std::span<const Burst>> lane_bursts,
-                           Us total_duration, BatchTrace& out);
-
   /// The configured parameters.
   const SignalParams& params() const { return params_; }
 
@@ -132,12 +98,6 @@ class SignalSynthesizer {
   void SetProfiler(PhaseProfiler* profiler) { profiler_ = profiler; }
 
  private:
-  /// Per-lane synthesis body shared by SynthesizeInto and
-  /// SynthesizeBatchInto: fills `samples` with noise, then merges the
-  /// bursts, drawing everything from `rng`.
-  void SynthesizeLane(Rng& rng, std::span<const Burst> bursts,
-                      std::span<double> samples);
-
   SignalParams params_;
   Rng rng_;
   PhaseProfiler* profiler_ = nullptr;

@@ -399,25 +399,10 @@ bool Medium::Transmitting(const RadioPort& radio) const {
   return false;
 }
 
-AirtimeBooks Medium::SnapshotBooks() {
-  for (std::size_t c = 0; c < static_cast<std::size_t>(kNumUhfChannels); ++c) {
-    AccrueChannel(c);
-  }
-  return books_;
-}
-
 const ChannelBooks& Medium::ChannelBooksAt(UhfIndex c) {
   const auto index = static_cast<std::size_t>(c);
   AccrueChannel(index);
   return books_[index];
-}
-
-std::vector<int> Medium::ActiveApsBetween(const AirtimeBooks& before,
-                                          const AirtimeBooks& after,
-                                          UhfIndex c,
-                                          const std::vector<int>& ap_ids) {
-  return ActiveApsBetween(before[static_cast<std::size_t>(c)],
-                          after[static_cast<std::size_t>(c)], ap_ids);
 }
 
 std::vector<int> Medium::ActiveApsBetween(const ChannelBooks& before,

@@ -105,9 +105,6 @@ struct ChannelBooks {
   std::map<int, Us> per_node;  ///< Cumulative air time by transmitter id.
 };
 
-/// Snapshot of all 30 channels' books.
-using AirtimeBooks = std::array<ChannelBooks, static_cast<std::size_t>(kNumUhfChannels)>;
-
 /// The shared medium.
 class Medium {
  public:
@@ -145,25 +142,14 @@ class Medium {
   /// True iff `radio` itself is currently transmitting.
   bool Transmitting(const RadioPort& radio) const;
 
-  /// Brings the airtime books current and returns a copy.
-  AirtimeBooks SnapshotBooks();
-
-  /// Brings one channel's books current and returns a reference — the
-  /// no-copy path for per-dwell B_c estimation, bit-equal to
-  /// `SnapshotBooks()[c]`.  The reference stays valid until the medium is
-  /// destroyed but its contents advance with simulated time; copy the
-  /// single ChannelBooks (not all 30) to freeze a "before" point.
+  /// Brings UHF channel `c`'s airtime books current and returns a
+  /// reference, the one read path for the books.  The reference stays
+  /// valid until the medium is destroyed but its contents advance with
+  /// simulated time; copy the ChannelBooks to freeze a "before" point.
   const ChannelBooks& ChannelBooksAt(UhfIndex c);
 
-  /// Set of AP node ids with non-zero air time on UHF channel `c` between
-  /// two snapshots (helper for B_c estimation).
-  static std::vector<int> ActiveApsBetween(const AirtimeBooks& before,
-                                           const AirtimeBooks& after,
-                                           UhfIndex c,
-                                           const std::vector<int>& ap_ids);
-
-  /// Single-channel overload over per-channel snapshots (see
-  /// ChannelBooksAt); identical results to the all-channel form.
+  /// Set of AP node ids with non-zero air time between two copies of one
+  /// channel's books (helper for B_c estimation).
   static std::vector<int> ActiveApsBetween(const ChannelBooks& before,
                                            const ChannelBooks& after,
                                            const std::vector<int>& ap_ids);
@@ -295,8 +281,8 @@ class Medium {
   std::array<std::vector<ActiveTx*>, static_cast<std::size_t>(kNumUhfChannels)>
       channel_txs_;
 
-  // Airtime accounting.
-  AirtimeBooks books_;
+  // Airtime accounting, one ChannelBooks per UHF channel.
+  std::array<ChannelBooks, static_cast<std::size_t>(kNumUhfChannels)> books_;
   std::array<int, static_cast<std::size_t>(kNumUhfChannels)> active_count_{};
   /// Per-channel lazy-accrual timestamp: books_[c].busy is current up to
   /// channel_accrued_at_[c].

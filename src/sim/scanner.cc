@@ -195,8 +195,6 @@ void Scanner::StartChirpWatch(Channel backup, int ssid,
   }
 }
 
-void Scanner::StopChirpWatch() { on_chirp_ = nullptr; }
-
 void Scanner::ChirpVisit() {
   chirp_dwelling_ = true;
   // With a secondary rendezvous channel set, visits alternate between the

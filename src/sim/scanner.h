@@ -83,9 +83,6 @@ class Scanner {
     secondary_chirp_channel_ = secondary;
   }
 
-  /// Stops the chirp watch.
-  void StopChirpWatch();
-
   /// Medium-side hook: the world's chirp tap calls this for every chirp
   /// frame transmitted anywhere; the scanner filters by channel/ssid and
   /// by whether it is currently dwelling on the backup channel.
@@ -105,8 +102,8 @@ class Scanner {
   int sweeps_ = 0;
   bool sweeping_ = false;
   /// Books of the dwelt channel at dwell start — a dwell only ever reads
-  /// the channel it sits on, so freezing one ChannelBooks (instead of a
-  /// full 30-channel SnapshotBooks copy) is the whole "before" state.
+  /// the channel it sits on, so one ChannelBooks is the whole "before"
+  /// state.
   ChannelBooks dwell_start_books_;
 
   bool chirp_watch_ = false;

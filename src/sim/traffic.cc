@@ -61,11 +61,6 @@ void SaturatedSource::Start() {
   Watchdog();
 }
 
-void SaturatedSource::SetDsts(std::vector<int> dsts) {
-  dsts_ = std::move(dsts);
-  next_dst_ = 0;
-}
-
 void SaturatedSource::Refill() {
   if (dsts_.empty()) return;
   // Keep two frames queued: one in flight, one ready, so the MAC never

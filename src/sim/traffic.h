@@ -63,9 +63,6 @@ class SaturatedSource {
   /// Begins sending.
   void Start();
 
-  /// Replaces the destination set (takes effect on the next refill).
-  void SetDsts(std::vector<int> dsts);
-
   /// Frames generated so far.
   std::uint64_t Generated() const { return generated_; }
 

@@ -69,9 +69,6 @@ struct Channel {
   /// True iff the two channels share at least one UHF channel.
   bool Overlaps(const Channel& other) const;
 
-  /// Center frequency in MHz.
-  MHz CenterFrequency() const { return CenterFrequencyMHz(center); }
-
   /// Label like "(ch28, 20MHz)".
   std::string ToString() const;
 };

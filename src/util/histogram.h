@@ -63,9 +63,6 @@ class DoubleHistogram {
   /// Center of bin `i`.
   double BinCenter(std::size_t i) const;
 
-  /// Number of bins.
-  std::size_t NumBins() const { return bins_.size(); }
-
   /// Total observations.
   std::size_t Total() const { return total_; }
 

@@ -1,8 +1,5 @@
 #include "util/parallel.h"
 
-#include <stdexcept>
-#include <string>
-
 #ifdef __linux__
 #include <sched.h>
 #endif
@@ -166,23 +163,6 @@ int HardwareJobs() {
 #endif
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-int ParseJobs(const char* value) {
-  std::size_t consumed = 0;
-  int jobs = 0;
-  try {
-    jobs = std::stoi(std::string(value), &consumed);
-  } catch (const std::exception&) {
-    throw std::invalid_argument(std::string("--jobs: not a number: ") + value);
-  }
-  if (consumed != std::string(value).size() || jobs < 0) {
-    throw std::invalid_argument(std::string("--jobs: expected a positive "
-                                            "integer or 0 (= all cores), "
-                                            "got: ") +
-                                value);
-  }
-  return jobs == 0 ? HardwareJobs() : jobs;
 }
 
 }  // namespace whitefi

@@ -130,8 +130,4 @@ auto ParallelMap(int jobs, std::size_t n, Fn&& fn)
 /// read, it is std::thread::hardware_concurrency().
 int HardwareJobs();
 
-/// Parses a `--jobs` value: positive integer, or 0 meaning HardwareJobs().
-/// Throws std::invalid_argument on garbage.
-int ParseJobs(const char* value);
-
 }  // namespace whitefi

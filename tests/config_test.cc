@@ -1,6 +1,7 @@
 // Tests for the INI-style config parser and the scenario-file loader.
 #include <gtest/gtest.h>
 
+#include "fuzz.h"
 #include "scenario_file.h"
 #include "spectrum/campus.h"
 #include "util/config.h"
@@ -202,6 +203,39 @@ TEST(ScenarioFile, Validation) {
   EXPECT_THROW(bench::LoadScenario(ConfigFile::ParseString(
                    "[mic]\ntv_channel = 28\non_s = 4\noff_s = 4\n")),
                std::runtime_error);
+  // Seeds, run lengths and audit intervals a flag would refuse.
+  for (const char* text :
+       {"seed = -1\n", "fault.seed = -2\n", "seconds = 0\n",
+        "seconds = -3\n", "seconds = nan\n", "seconds = inf\n",
+        "warmup = -1\n", "warmup = nan\n"}) {
+    EXPECT_THROW(bench::LoadScenario(ConfigFile::ParseString(text)),
+                 std::runtime_error)
+        << text;
+  }
+  for (const char* text : {"city.aps = 4\nseed = -1\n",
+                           "city.aps = 4\nseconds = nan\n",
+                           "city.aps = 4\nseconds = 0\n"}) {
+    EXPECT_THROW(bench::LoadCityScenario(ConfigFile::ParseString(text)),
+                 std::runtime_error)
+        << text;
+  }
+  for (const char* text :
+       {"audit.safety_budget_ms = -5\n", "audit.geo_budget_ms = -1\n",
+        "audit.vacate_slack_ms = 2147483648\n", "audit.sweep_ms = 0\n",
+        "audit.sweep_ms = -250\n"}) {
+    EXPECT_THROW(bench::LoadAuditConfig(ConfigFile::ParseString(text)),
+                 std::runtime_error)
+        << text;
+  }
+  // The bounds themselves load.
+  const AuditConfig audit = bench::LoadAuditConfig(ConfigFile::ParseString(
+      "audit.safety_budget_ms = 0\naudit.sweep_ms = 1\n"
+      "audit.vacate_slack_ms = 2147483647\n"));
+  EXPECT_EQ(audit.sweep_interval, kTicksPerMs);
+  EXPECT_EQ(audit.safety_vacate_slack, 2147483647 * kTicksPerMs);
+  EXPECT_EQ(bench::LoadScenario(ConfigFile::ParseString("warmup = 0\n"))
+                .warmup_s,
+            0.0);
 }
 
 TEST(ScenarioFile, UnknownKeysSurfaceTyposButNotConsumedSections) {

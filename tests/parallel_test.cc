@@ -299,15 +299,6 @@ TEST(HardwareJobs, CountsTheCallingThreadsAffinityMask) {
 }
 #endif
 
-TEST(ParseJobs, ParsesCountsAndRejectsGarbage) {
-  EXPECT_EQ(ParseJobs("1"), 1);
-  EXPECT_EQ(ParseJobs("12"), 12);
-  EXPECT_EQ(ParseJobs("0"), HardwareJobs());
-  EXPECT_GE(HardwareJobs(), 1);
-  EXPECT_THROW(ParseJobs("abc"), std::invalid_argument);
-  EXPECT_THROW(ParseJobs("-3"), std::invalid_argument);
-}
-
 /// Runs JobsFromArgs over `args` (argv[0] is supplied).
 int JobsFrom(std::vector<std::string> args,
              std::string* trace_jsonl = nullptr) {
@@ -325,6 +316,17 @@ TEST(BenchFlags, ReadJobsAndTheFlagsADriverNames) {
   std::string trace;
   EXPECT_EQ(JobsFrom({"--trace-jsonl", "t.jsonl", "--jobs", "4"}, &trace), 4);
   EXPECT_EQ(trace, "t.jsonl");
+}
+
+TEST(BenchFlagsDeathTest, JobsTakesACountOrZeroForEveryCore) {
+  EXPECT_EQ(JobsFrom({"--jobs", "1"}), 1);
+  EXPECT_EQ(JobsFrom({"--jobs=12"}), 12);
+  EXPECT_EQ(JobsFrom({"--jobs", "0"}), HardwareJobs());
+  EXPECT_GE(HardwareJobs(), 1);
+  EXPECT_EXIT(JobsFrom({"--jobs", "abc"}), ::testing::ExitedWithCode(2),
+              "--jobs: expected an integer >= 0, got 'abc'");
+  EXPECT_EXIT(JobsFrom({"--jobs=-3"}), ::testing::ExitedWithCode(2),
+              "--jobs: expected an integer >= 0, got '-3'");
 }
 
 TEST(BenchFlagsDeathTest, AFlagTheDriverDoesNotReadExitsTwo) {

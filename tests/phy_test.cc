@@ -245,8 +245,7 @@ void ExpectBitEqual(std::span<const double> expected,
 }
 
 /// SynthesizeInto vs the reference, twice in a row from one synthesizer
-/// (so the second trace also pins where the first left the stream), and
-/// SynthesizeBatchInto vs the reference on per-lane forks.
+/// (so the second trace also pins where the first left the stream).
 void ExpectMatchesReference(const SignalParams& params,
                             std::span<const Burst> bursts, Us duration,
                             std::uint64_t seed) {
@@ -260,21 +259,6 @@ void ExpectMatchesReference(const SignalParams& params,
     synth.SynthesizeInto(bursts, duration, actual);
     SCOPED_TRACE(call);
     ExpectBitEqual(expected, actual);
-  }
-
-  // Three lanes: the schedule, no bursts, and the schedule again (a fresh
-  // fork, so different draws).
-  const std::vector<std::span<const Burst>> lanes = {bursts, {}, bursts};
-  SignalSynthesizer batch_synth(params, Rng(seed));
-  BatchTrace batch;
-  batch_synth.SynthesizeBatchInto(lanes, duration, batch);
-  Rng parent(seed);
-  for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
-    Rng lane_rng = parent.Fork();
-    bench::ReferenceSynthesizeInto(params, lane_rng, lanes[lane], duration,
-                                   expected);
-    SCOPED_TRACE(lane);
-    ExpectBitEqual(expected, batch.Lane(lane));
   }
 }
 

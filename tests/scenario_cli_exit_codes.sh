@@ -4,12 +4,17 @@
 #   1  runtime failure / violation found / replay divergence
 #   2  configuration error (bad flags, malformed file, --strict unknown key,
 #      a flag the run cannot honour)
-# Scripts (and CI) rely on the 1-vs-2 distinction, so it is pinned here.
+# Scripts (and CI) rely on the 1-vs-2 distinction, so it is pinned here,
+# with trace_lens's, which keeps the same contract.  Both tools parse
+# their flags through bench/flags.h (`--flag VALUE` or `--flag=VALUE`) and
+# write every output file through its checked writer: a file that cannot
+# be written exits 1 and is not announced.
 #
-# Usage: scenario_cli_exit_codes.sh <path-to-scenario_cli>
+# Usage: scenario_cli_exit_codes.sh <path-to-scenario_cli> <path-to-trace_lens>
 set -u
 
 CLI="$1"
+LENS="$2"
 TMP="${TMPDIR:-/tmp}/scenario_cli_exit_codes.$$"
 mkdir -p "$TMP"
 trap 'rm -rf "$TMP"' EXIT
@@ -343,5 +348,83 @@ expect_exit 1 "replay of a non-bundle" "$CLI" --replay "$TMP/ok.conf"
 
 # Replay of an unreadable bundle is a config error.
 expect_exit 2 "replay of missing bundle" "$CLI" --replay "$TMP/nope.bundle"
+
+# A flag takes its value as --flag VALUE or --flag=VALUE: same run.
+expect_exit 0 "spaced --seconds and --config" \
+  "$CLI" --seconds 1 --config "$TMP/ok.conf"
+cp "$TMP/out" "$TMP/spaced.out"
+expect_exit 0 "--seconds= and --config=" \
+  "$CLI" --seconds=1 --config="$TMP/ok.conf"
+cmp -s "$TMP/out" "$TMP/spaced.out" || {
+  diff "$TMP/spaced.out" "$TMP/out" >&2
+  fail "--flag=VALUE must print what --flag VALUE prints"
+}
+
+# A value the description cannot use exits 1 whether a flag or the file
+# gives it; a number the flag cannot parse (not finite, out of its range,
+# below its bound) exits 2 naming the flag.
+expect_exit 1 "negative seed through a flag" "$CLI" --seed -1 --seconds 1
+grep -q "seed must be >= 0" "$TMP/err" || fail "the error must name seed"
+expect_exit 1 "negative seconds through a flag" "$CLI" --seconds -3
+printf 'seconds = nan\n' >"$TMP/nan.conf"
+expect_exit 1 "seconds = nan in the file" "$CLI" --config "$TMP/nan.conf"
+grep -q "seconds must be finite and positive" "$TMP/err" ||
+  fail "the error must name seconds"
+printf 'seconds = 1\naudit.sweep_ms = 0\n' >"$TMP/sweep.conf"
+expect_exit 1 "audit.sweep_ms = 0 in the file" \
+  "$CLI" --config "$TMP/sweep.conf" --audit
+expect_config_error --seconds "$CLI" --seconds inf
+grep -q "^error: --seconds: expected a number, got 'inf'$" "$TMP/err" || {
+  cat "$TMP/err" >&2
+  fail "a flag error must read 'error: FLAG: ...'"
+}
+expect_config_error --audit-budget-ms "$CLI" --audit-budget-ms -5
+expect_config_error --audit-budget-ms \
+  "$CLI" --audit --audit-budget-ms 99999999999999999
+
+# An output file that cannot be written exits 1, names the path on
+# stderr and is not announced.
+MISSING="$TMP/missing/dir"
+for flag in --metrics-csv --metrics-json --trace-json --trace-jsonl \
+    --timeline-csv; do
+  expect_exit 1 "unwritable $flag" "$CLI" --seconds 1 $flag "$MISSING/f"
+  grep -q "cannot write .* to $MISSING/f" "$TMP/err" || {
+    cat "$TMP/err" >&2
+    fail "an unwritable $flag must name the path"
+  }
+  grep -q "written to" "$TMP/out" && fail "an unwritable $flag was announced"
+done
+expect_exit 1 "unwritable --minimize" \
+  "$CLI" --replay "$TMP/ok.conf" --minimize "$MISSING/min.bundle"
+grep -q "$MISSING/min.bundle" "$TMP/err" ||
+  fail "an unwritable --minimize must name the path"
+grep -q "minimized bundle" "$TMP/out" &&
+  fail "an unwritable --minimize was announced"
+
+# trace_lens: the trace is its leading operand, the flags follow it.
+expect_exit 0 "mic trace for trace_lens" "$CLI" --map building5 --clients 3 \
+  --mic 28 --mic-at 5 --seconds 20 --trace-jsonl="$TMP/mic.jsonl"
+grep -q "event trace (.* events) written to $TMP/mic.jsonl" "$TMP/out" ||
+  fail "--trace-jsonl= must write and announce the trace"
+expect_exit 2 "trace_lens without an operand" "$LENS"
+grep -q "^error: missing TRACE.jsonl operand$" "$TMP/err" ||
+  fail "the error must name the missing operand"
+expect_exit 2 "trace_lens --cause-window-ms out of range" \
+  "$LENS" "$TMP/mic.jsonl" --cause-window-ms 99999999999999999
+grep -q -- "--cause-window-ms" "$TMP/err" || fail "the error must name the flag"
+expect_exit 1 "trace_lens unwritable --html" \
+  "$LENS" "$TMP/mic.jsonl" --html "$MISSING/r.html"
+grep -q "^error: cannot write html report to $MISSING/r.html$" "$TMP/err" ||
+  fail "an unwritable --html must name the path"
+grep -q "written to" "$TMP/out" && fail "an unwritable --html was announced"
+expect_exit 0 "trace_lens --html FILE" \
+  "$LENS" "$TMP/mic.jsonl" --html "$TMP/spaced.html"
+grep -q "^html report written to $TMP/spaced.html$" "$TMP/out" ||
+  fail "--html must announce the report"
+expect_exit 0 "trace_lens --html=FILE" \
+  "$LENS" "$TMP/mic.jsonl" --html="$TMP/eq.html"
+cmp -s "$TMP/spaced.html" "$TMP/eq.html" ||
+  fail "--html=FILE must write what --html FILE writes"
+tail -n 1 "$TMP/eq.html" | grep -q "</html>$" || fail "truncated html report"
 
 echo "PASS"

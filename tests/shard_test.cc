@@ -251,29 +251,6 @@ TEST(GhostEnergyTest, LocalEnergyTapReportsExactPowerAndInterval) {
   EXPECT_EQ(std::get<3>(taps[0]), 1);
 }
 
-TEST(GhostEnergyTest, PerChannelBooksMatchTheFullSnapshotBitForBit) {
-  Simulator sim;
-  Medium medium(sim, MediumParams{});
-  const Channel ch{5, ChannelWidth::kW10};  // Spans UHF indices 5 and 6.
-  GhostRadio tx(1, {0.0, 0.0}, ch);
-  medium.Register(&tx);
-  Frame f;
-  f.type = FrameType::kData;
-  f.src = 1;
-  f.bytes = 700;
-  medium.Transmit(&tx, ch, f, 16.0, 321, [] {});
-  medium.InjectForeignEnergy(777, false, {30.0, 0.0},
-                             Channel{6, ChannelWidth::kW5}, f, 12.0, 100);
-  sim.Run(500);
-  const AirtimeBooks all = medium.SnapshotBooks();
-  for (UhfIndex c = 0; c < kNumUhfChannels; ++c) {
-    const ChannelBooks& one = medium.ChannelBooksAt(c);
-    const ChannelBooks& full = all[static_cast<std::size_t>(c)];
-    EXPECT_EQ(one.busy, full.busy) << "channel " << c;
-    EXPECT_EQ(one.per_node, full.per_node) << "channel " << c;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // City generation.
 
@@ -372,13 +349,12 @@ TEST(ShardEngineTest, SummariesAndBooksAreInvariantAcrossShardCounts) {
     // and every per-node entry, ghosts included.
     ASSERT_EQ(ref.NumTiles(), other.NumTiles());
     for (int t = 0; t < ref.NumTiles(); ++t) {
-      const AirtimeBooks a = ref.tile_world(t).medium().SnapshotBooks();
-      const AirtimeBooks b = other.tile_world(t).medium().SnapshotBooks();
       for (UhfIndex c = 0; c < kNumUhfChannels; ++c) {
-        const auto ci = static_cast<std::size_t>(c);
-        EXPECT_EQ(a[ci].busy, b[ci].busy) << "tile " << t << " ch " << c;
-        EXPECT_EQ(a[ci].per_node, b[ci].per_node)
-            << "tile " << t << " ch " << c;
+        const ChannelBooks& a = ref.tile_world(t).medium().ChannelBooksAt(c);
+        const ChannelBooks& b =
+            other.tile_world(t).medium().ChannelBooksAt(c);
+        EXPECT_EQ(a.busy, b.busy) << "tile " << t << " ch " << c;
+        EXPECT_EQ(a.per_node, b.per_node) << "tile " << t << " ch " << c;
       }
     }
   }

@@ -187,17 +187,21 @@ TEST_F(MediumTest, AirtimeBooksTrackBusyTime) {
   const Channel wide{10, ChannelWidth::kW20};  // Spans 8..12.
   FakeRadio tx(1, {0, 0}, wide, /*is_ap=*/true);
   medium_.Register(&tx);
-  const AirtimeBooks before = medium_.SnapshotBooks();
+  std::vector<ChannelBooks> before;  // Channels 7..13.
+  for (UhfIndex c = 7; c <= 13; ++c) {
+    before.push_back(medium_.ChannelBooksAt(c));
+  }
   medium_.Transmit(&tx, wide, DataFrame(1, 99), 16.0, 400, nullptr);
   sim_.Run(1000);
-  const AirtimeBooks after = medium_.SnapshotBooks();
-  for (UhfIndex c = 8; c <= 12; ++c) {
-    const auto i = static_cast<std::size_t>(c);
-    EXPECT_DOUBLE_EQ(after[i].busy - before[i].busy, 400.0) << c;
-    EXPECT_DOUBLE_EQ(after[i].per_node.at(1), 400.0) << c;
+  for (UhfIndex c = 7; c <= 13; ++c) {
+    const ChannelBooks& after = medium_.ChannelBooksAt(c);
+    const bool spanned = 8 <= c && c <= 12;
+    EXPECT_DOUBLE_EQ(after.busy - before[c - 7].busy, spanned ? 400.0 : 0.0)
+        << c;
+    if (spanned) {
+      EXPECT_DOUBLE_EQ(after.per_node.at(1), 400.0) << c;
+    }
   }
-  EXPECT_DOUBLE_EQ(after[7].busy, before[7].busy);
-  EXPECT_DOUBLE_EQ(after[13].busy, before[13].busy);
 }
 
 TEST_F(MediumTest, OverlappingTransmissionsBusyTimeIsUnion) {
@@ -209,12 +213,12 @@ TEST_F(MediumTest, OverlappingTransmissionsBusyTimeIsUnion) {
   sim_.Run(100);
   medium_.Transmit(&b, ch, DataFrame(2, 9), 16.0, 300, nullptr);  // 100..400.
   sim_.Run(1000);
-  const AirtimeBooks books = medium_.SnapshotBooks();
+  const ChannelBooks& books = medium_.ChannelBooksAt(5);
   // Union busy time is 400 us, not 600.
-  EXPECT_DOUBLE_EQ(books[5].busy, 400.0);
+  EXPECT_DOUBLE_EQ(books.busy, 400.0);
   // Per-node books carry each transmitter's own air time.
-  EXPECT_DOUBLE_EQ(books[5].per_node.at(1), 300.0);
-  EXPECT_DOUBLE_EQ(books[5].per_node.at(2), 300.0);
+  EXPECT_DOUBLE_EQ(books.per_node.at(1), 300.0);
+  EXPECT_DOUBLE_EQ(books.per_node.at(2), 300.0);
 }
 
 TEST_F(MediumTest, ActiveApsBetweenSnapshotsAndApIds) {
@@ -224,14 +228,17 @@ TEST_F(MediumTest, ActiveApsBetweenSnapshotsAndApIds) {
   medium_.Register(&ap);
   medium_.Register(&client);
   EXPECT_EQ(medium_.ApIds(), (std::vector<int>{1}));
-  const AirtimeBooks before = medium_.SnapshotBooks();
+  const ChannelBooks before3 = medium_.ChannelBooksAt(3);
+  const ChannelBooks before4 = medium_.ChannelBooksAt(4);
   medium_.Transmit(&ap, ch, DataFrame(1, 2), 16.0, 100, nullptr);
   sim_.Run(1000);
-  const AirtimeBooks after = medium_.SnapshotBooks();
-  EXPECT_EQ(Medium::ActiveApsBetween(before, after, 3, {1, 2}),
+  const ChannelBooks after3 = medium_.ChannelBooksAt(3);
+  EXPECT_EQ(Medium::ActiveApsBetween(before3, after3, {1, 2}),
             (std::vector<int>{1}));
-  EXPECT_TRUE(Medium::ActiveApsBetween(before, after, 4, {1, 2}).empty());
-  EXPECT_TRUE(Medium::ActiveApsBetween(after, after, 3, {1, 2}).empty());
+  EXPECT_TRUE(
+      Medium::ActiveApsBetween(before4, medium_.ChannelBooksAt(4), {1, 2})
+          .empty());
+  EXPECT_TRUE(Medium::ActiveApsBetween(after3, after3, {1, 2}).empty());
 }
 
 TEST_F(MediumTest, FrameTapSeesEveryTransmission) {
@@ -494,11 +501,14 @@ TEST_F(MediumTest, RandomStormBooksMatchIntervalUnion) {
     });
   }
 
-  // Mid-stream snapshot (forces lazy accrual at an arbitrary boundary).
-  AirtimeBooks mid{};
-  sim_.Schedule(10001, [this, &mid] { mid = medium_.SnapshotBooks(); });
+  // Mid-stream copies (force lazy accrual at an arbitrary boundary).
+  std::vector<ChannelBooks> mid;
+  sim_.Schedule(10001, [this, &mid] {
+    for (UhfIndex c = 0; c < kNumUhfChannels; ++c) {
+      mid.push_back(medium_.ChannelBooksAt(c));
+    }
+  });
   sim_.RunUntilIdle();
-  const AirtimeBooks books = medium_.SnapshotBooks();
 
   EXPECT_GT(probes_sensed, 0);  // The storm is dense; probes must hit.
   for (UhfIndex c = 0; c < kNumUhfChannels; ++c) {
@@ -525,13 +535,14 @@ TEST_F(MediumTest, RandomStormBooksMatchIntervalUnion) {
         covered_until = end;
       }
     }
-    const auto ci = static_cast<std::size_t>(c);
-    EXPECT_EQ(books[ci].busy, ToUs(busy)) << "channel " << c;
-    EXPECT_EQ(mid[ci].busy, ToUs(mid_busy)) << "channel " << c;
+    const ChannelBooks& books = medium_.ChannelBooksAt(c);
+    EXPECT_EQ(books.busy, ToUs(busy)) << "channel " << c;
+    EXPECT_EQ(mid[static_cast<std::size_t>(c)].busy, ToUs(mid_busy))
+        << "channel " << c;
     double node_sum = 0.0;
     for (const auto& [node, total] : per_node) {
-      const auto it = books[ci].per_node.find(node);
-      ASSERT_NE(it, books[ci].per_node.end());
+      const auto it = books.per_node.find(node);
+      ASSERT_NE(it, books.per_node.end());
       EXPECT_EQ(it->second, total) << "channel " << c << " node " << node;
       node_sum += total;
     }
