@@ -1,8 +1,8 @@
 // bench_city_scale — the sharded-federation throughput driver.
 //
-// Runs one generated city (shard/city.h) through shard::ShardEngine at
-// one or more shard counts and reports simulation throughput.  Output is
-// split by determinism:
+// Runs one city description (bench/scenario_file.h) through
+// shard::ShardEngine at one or more shard counts and reports simulation
+// throughput.  Output is split by determinism:
 //
 //   stdout  the engine's deterministic run summary — integers only,
 //           byte-identical for every shard count (CI diffs shards 1
@@ -10,15 +10,16 @@
 //   stderr  wall-clock timing and the scaling table (events/s, speedup
 //           vs the first count) — machine-dependent, never diffed.
 //
-// Flags (each value flag also takes the `--flag=value` form): --shards N
+// Flags (each value flag also takes the `--flag=value` form): --config
+// FILE (the description, e.g. the CI city bench/city_scale.conf; without
+// it, an empty one: the default city for 5 s at seed 1), --shards N
 // (single count), --sweep 1,2,4,8 (several counts in one process; the
 // driver additionally asserts the summaries match byte-for-byte), each
-// count >= 1; --aps N, --clients-per-ap N, --roams N, --mics N (checked
-// by shard::ValidateCityParams before any run); --seconds S (> 0);
-// --seed S (unsigned); --audit; --json PATH.
+// count >= 1; --audit (as shards.audit = true); --json PATH.
 //
 // Exit status: 0 success, 1 a summary or audit mismatch or an unwritable
-// --json file, 2 a bad flag, value or city.
+// --json file, 2 a bad flag or a description it cannot run (malformed, a
+// key it does not read, a bad value or city), refused before any run.
 //
 // --json PATH writes a google-benchmark-compatible report with two kinds
 // of entries:
@@ -43,7 +44,7 @@
 #include <vector>
 
 #include "flags.h"
-#include "shard/engine.h"
+#include "scenario_file.h"
 #include "util/report.h"
 
 namespace whitefi::bench {
@@ -61,21 +62,35 @@ struct RunOutput {
   std::uint64_t messages = 0;
 };
 
-RunOutput RunOnce(const shard::CityParams& city, int shards, bool audit,
-                  double seconds) {
-  shard::ShardEngineConfig config;
+/// The description at `path` (an empty one when `path` is empty), with
+/// every key read; anything the driver cannot run exits 2.
+CityScenario LoadDescription(const std::string& path) try {
+  const ConfigFile config =
+      path.empty() ? ConfigFile() : ConfigFile::Load(path);
+  CityScenario scenario = LoadCityScenario(config);
+  const std::vector<std::string> unknown = config.UnconsumedKeys();
+  if (!unknown.empty()) {
+    throw ConfigError("unknown key '" + unknown.front() + "'",
+                      config.source(), config.LineOf(unknown.front()));
+  }
+  return scenario;
+} catch (const std::exception& error) {
+  FlagError(error.what());
+}
+
+RunOutput RunOnce(const CityScenario& scenario, int shards) {
+  shard::ShardEngineConfig config = scenario.engine;
   config.shards = shards;
-  config.audit = audit;
-  shard::ShardEngine engine(city, config);
+  shard::ShardEngine engine(scenario.city, config);
   const auto t0 = std::chrono::steady_clock::now();
-  engine.Run(seconds);
+  engine.Run(scenario.seconds);
   const auto t1 = std::chrono::steady_clock::now();
   RunOutput out;
   out.summary = engine.SummaryText();
   out.shards = shards;
   out.wall_s = std::chrono::duration<double>(t1 - t0).count();
   out.events = engine.EventsProcessed();
-  out.audit_ok = !audit || engine.audit_ok();
+  out.audit_ok = !config.audit || engine.audit_ok();
   out.app_bytes = engine.AppBytesTotal();
   out.transmissions = engine.Transmissions();
   out.ghosts = engine.ghosts_injected();
@@ -121,37 +136,29 @@ void WriteJsonReport(std::ostream& os, const shard::CityParams& city,
 }
 
 int Main(int argc, char** argv) {
-  shard::CityParams city;
-  city.seed = 1;
-  double seconds = 3.0;
+  std::string config_path;
   bool audit = false;
   std::string json_path;
   std::vector<int> counts{1};
-  ParseFlags(
-      argc, argv,
-      {{"--shards",
-        [&](const std::string& value) {
-          counts.assign(1, ParseValue<int>("--shards", value, 1));
-        }},
-       List("--sweep", counts, 1), Number("--aps", city.num_aps),
-       Number("--clients-per-ap", city.clients_per_ap),
-       Number("--roams", city.num_roams), Number("--mics", city.num_mics),
-       Number("--seconds", seconds), Number("--seed", city.seed),
-       Switch("--audit", audit), Text("--json", json_path)});
-  if (!(seconds > 0.0)) FlagError("--seconds must be > 0");
-  try {
-    shard::ValidateCityParams(city);
-  } catch (const std::invalid_argument& error) {
-    FlagError(error.what());
-  }
+  ParseFlags(argc, argv,
+             {{"--shards",
+               [&](const std::string& value) {
+                 counts.assign(1, FlagValue<int>("--shards", value, 1));
+               }},
+              List("--sweep", counts, 1), Text("--config", config_path),
+              Switch("--audit", audit), Text("--json", json_path)});
+  CityScenario scenario = LoadDescription(config_path);
+  if (audit) scenario.engine.audit = true;
+  const shard::CityParams& city = scenario.city;
+  const double seconds = scenario.seconds;
 
   std::cerr << "city: " << city.num_aps << " APs x " << city.clients_per_ap
             << " clients, " << seconds << " s simulated, seed " << city.seed
-            << (audit ? ", audited" : "") << "\n";
+            << (scenario.engine.audit ? ", audited" : "") << "\n";
 
   std::vector<RunOutput> runs;
   for (int c : counts) {
-    runs.push_back(RunOnce(city, c, audit, seconds));
+    runs.push_back(RunOnce(scenario, c));
     const RunOutput& r = runs.back();
     std::cerr << "shards " << c << ": wall "
               << FormatDouble(r.wall_s, 3) << " s, "
@@ -169,13 +176,11 @@ int Main(int argc, char** argv) {
       return 1;
     }
   }
-  if (audit) {
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      if (!runs[i].audit_ok) {
-        std::cerr << "FAIL: invariant violation at shards " << counts[i]
-                  << "\n";
-        return 1;
-      }
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    if (!runs[i].audit_ok) {
+      std::cerr << "FAIL: invariant violation at shards " << counts[i]
+                << "\n";
+      return 1;
     }
   }
 
@@ -204,4 +209,9 @@ int Main(int argc, char** argv) {
 }  // namespace
 }  // namespace whitefi::bench
 
-int main(int argc, char** argv) { return whitefi::bench::Main(argc, argv); }
+int main(int argc, char** argv) try {
+  return whitefi::bench::Main(argc, argv);
+} catch (const std::invalid_argument& error) {
+  // A city the engine cannot build (a tile below the cutoff).
+  whitefi::bench::FlagError(error.what());
+}

@@ -14,8 +14,6 @@
 #pragma once
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
@@ -30,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/number.h"
 #include "util/parallel.h"
 
 namespace whitefi::bench {
@@ -71,22 +70,19 @@ inline std::optional<std::string> TakeFlagValue(int argc, char** argv, int& i,
 
 }  // namespace detail
 
-/// Parses all of `value` as a finite T no less than `min`; an unsigned T
-/// takes no sign.  Throws std::invalid_argument naming `flag` and quoting
-/// the value.
+/// Parses `value` through the one number parser (util/number.h) as a T no
+/// less than `min`.  Throws std::invalid_argument naming `flag` and
+/// quoting the value.
 template <typename T>
-T ParseValue(std::string_view flag, std::string_view value,
-             std::type_identity_t<T> min =
-                 std::numeric_limits<T>::lowest()) {
+T FlagValue(std::string_view flag, std::string_view value,
+            std::type_identity_t<T> min = std::numeric_limits<T>::lowest()) {
   T parsed{};
-  const char* end = value.data() + value.size();
-  const auto [stop, error] = std::from_chars(value.data(), end, parsed);
+  const std::errc error = ParseValue(value, parsed);
   if (error == std::errc::result_out_of_range) {
     throw std::invalid_argument(std::string(flag) + ": '" +
                                 std::string(value) + "' is out of range");
   }
-  if (error != std::errc() || stop != end || parsed < min ||
-      !std::isfinite(static_cast<double>(parsed))) {
+  if (error != std::errc() || parsed < min) {
     std::string expected = std::is_floating_point_v<T> ? "a number"
                            : std::is_signed_v<T>       ? "an integer"
                                                        : "an unsigned integer";
@@ -105,7 +101,7 @@ Flag Number(std::string_view name, T& target,
             std::type_identity_t<T> min =
                 std::numeric_limits<T>::lowest()) {
   return {name, [name, &target, min](const std::string& value) {
-            target = ParseValue<T>(name, value, min);
+            target = FlagValue<T>(name, value, min);
           }};
 }
 
@@ -116,7 +112,7 @@ inline Flag List(std::string_view name, std::vector<int>& target, int min) {
             for (std::size_t start = 0, comma = 0; comma != value.npos;
                  start = comma + 1) {
               comma = value.find(',', start);
-              target.push_back(ParseValue<int>(
+              target.push_back(FlagValue<int>(
                   name, std::string_view(value).substr(start, comma - start),
                   min));
             }
@@ -137,7 +133,7 @@ inline Flag Switch(std::string_view name, bool& target, bool value = true) {
 /// `--jobs N`: the trial pool width; 0 = all hardware threads.
 inline Flag Jobs(int& jobs) {
   return {"--jobs", [&jobs](const std::string& value) {
-            jobs = ParseValue<int>("--jobs", value, 0);
+            jobs = FlagValue<int>("--jobs", value, 0);
             if (jobs == 0) jobs = HardwareJobs();
           }};
 }

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "scenario_file.h"
@@ -279,25 +280,18 @@ std::string GenerateGeoDbFuzzScenario(const FuzzOptions& options,
 }
 
 AuditConfig LoadAuditConfig(const ConfigFile& config) {
+  // Each audit.*_ms key: whole ms in [0, INT_MAX] ([1, INT_MAX] for the
+  // sweep), as ticks; an absent key keeps the auditor's default.
   AuditConfig audit;
-  // Each audit.*_ms key: whole ms in [min_ms, INT_MAX], as ticks.
-  const auto duration = [&config](const std::string& key, SimTime fallback,
-                                  long long min_ms = 0) -> SimTime {
-    if (!config.Has(key)) return fallback;
-    const long long ms = config.GetInt(key);
-    if (ms < min_ms || ms > std::numeric_limits<int>::max()) {
-      throw std::runtime_error(key + " must be in [" +
-                               std::to_string(min_ms) + ", " +
-                               std::to_string(std::numeric_limits<int>::max()) +
-                               "]");
-    }
-    return ms * kTicksPerMs;
-  };
-  audit.safety_budget = duration("audit.safety_budget_ms", 0);
-  audit.geo_budget = duration("audit.geo_budget_ms", 0);
-  audit.safety_vacate_slack =
-      duration("audit.vacate_slack_ms", audit.safety_vacate_slack);
-  audit.sweep_interval = duration("audit.sweep_ms", audit.sweep_interval, 1);
+  for (auto [key, field, min_ms] :
+       {std::tuple{"audit.safety_budget_ms", &audit.safety_budget, 0},
+        {"audit.geo_budget_ms", &audit.geo_budget, 0},
+        {"audit.vacate_slack_ms", &audit.safety_vacate_slack, 0},
+        {"audit.sweep_ms", &audit.sweep_interval, 1}}) {
+    *field = config.Get<SimTime>(key, *field / kTicksPerMs, min_ms,
+                                 std::numeric_limits<int>::max()) *
+             kTicksPerMs;
+  }
   audit.check_books = config.GetBool("audit.check_books", true);
   return audit;
 }
@@ -334,9 +328,9 @@ std::optional<Violation> BundleExpectation(const ConfigFile& config) {
   if (!config.Has("expect.invariant")) return std::nullopt;
   Violation v;
   v.invariant = config.Get("expect.invariant");
-  v.at = config.GetInt("expect.at_us", 0);
-  v.node = static_cast<int>(config.GetInt("expect.node", -1));
-  v.channel = static_cast<int>(config.GetInt("expect.channel", -1));
+  v.at = config.Get<SimTime>("expect.at_us", 0);
+  v.node = config.Get<int>("expect.node", -1);
+  v.channel = config.Get<int>("expect.channel", -1);
   v.detail = config.Get("expect.detail");
   return v;
 }
@@ -385,10 +379,13 @@ std::string MinimizeBundle(const std::string& bundle_text, int* steps) {
     invariant = run.violations.front().invariant;
   }
 
-  // 1. Duration: first try the tightest horizon the recorded violation
-  //    suggests, then keep bisecting down.
-  long long seconds = original.GetInt("seconds", 10);
-  const double warmup = original.GetDouble("warmup", 1.0);
+  // 1. Duration, in whole seconds below the recorded run's ceiling: first
+  //    try the tightest horizon the recorded violation suggests, then keep
+  //    bisecting down.
+  long long seconds = static_cast<long long>(std::ceil(
+      original.Get<double>("seconds", 10.0, kPositive, kMaxDurationS)));
+  const double warmup =
+      original.Get<double>("warmup", 1.0, 0.0, kMaxDurationS);
   if (expected.has_value() && expected->at > 0) {
     const long long needed = static_cast<long long>(
         std::ceil(static_cast<double>(expected->at) / kTicksPerSec - warmup)) +
@@ -413,7 +410,7 @@ std::string MinimizeBundle(const std::string& bundle_text, int* steps) {
   }
 
   // 2. Node count: drop clients, then background pairs, while it fires.
-  long long clients = original.GetInt("network.clients", 2);
+  int clients = original.Get<int>("network.clients", 2);
   while (clients > 1) {
     const std::string candidate = ReplaceKeyLine(
         text, "network.clients", std::to_string(clients - 1));
@@ -422,7 +419,7 @@ std::string MinimizeBundle(const std::string& bundle_text, int* steps) {
     text = candidate;
     ++accepted;
   }
-  long long pairs = original.GetInt("background.pairs", 0);
+  int pairs = original.Get<int>("background.pairs", 0);
   while (pairs > 0) {
     const std::string candidate =
         ReplaceKeyLine(text, "background.pairs", std::to_string(pairs - 1));

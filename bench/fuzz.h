@@ -98,8 +98,9 @@ struct ReplayOutcome {
 /// (invariant, sim-time, node, channel, detail) against the expect block.
 ReplayOutcome ReplayBundleText(const std::string& text);
 
-/// Bisecting minimizer: shrinks the run duration and drops clients /
-/// background pairs while a violation of the same invariant still fires,
+/// Bisecting minimizer: shrinks the run duration (in whole seconds, from
+/// the ceiling of a fractional one) and drops clients / background pairs
+/// while a violation of the same invariant still fires,
 /// then refreshes the expect block from the minimized run.  Returns the
 /// minimized bundle (the input itself when nothing could be removed).
 /// `steps`, when non-null, receives the number of accepted reductions.

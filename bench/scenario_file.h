@@ -28,6 +28,13 @@
 //   beacon_drop_p = 0.1
 //   storm_start_s = 5        # churn storm
 //   storm_mics = 3
+//
+// Each key is read as the type the scenario stores, under one rule: text
+// that is not a number (`extra_occupied = 28abc`) is a configuration
+// error (ConfigError, exit 2); a number the key cannot take (`clients =
+// 4294967297`, `on_s = nan`, `flip_p = 7`, a time past kMaxDuration) is a
+// scenario that cannot be built (exit 1), as is a failed check between
+// keys.  Bounds a constructor enforces are left to it.
 #pragma once
 
 #include "scenario.h"
@@ -37,10 +44,9 @@
 
 namespace whitefi::bench {
 
-/// Builds a ScenarioConfig from a parsed description.  Throws
-/// std::runtime_error on unknown map names or invalid values, among them
-/// a negative seed or fault.seed, a non-finite or non-positive seconds
-/// and a non-finite or negative warmup.
+/// Builds a ScenarioConfig from a parsed description.  Throws ConfigError
+/// on a value that is not a number, and std::runtime_error on an unknown
+/// map name or a number a key cannot take (see above).
 ScenarioConfig LoadScenario(const ConfigFile& config);
 
 /// True iff the description declares a [city] section — a city-scale
@@ -59,10 +65,9 @@ struct CityScenario {
 };
 
 /// Builds a CityScenario from a description with a [city] section
-/// (optionally a [shards] section for horizon/trace overrides).  Throws
-/// std::runtime_error on a negative seed or a non-finite or non-positive
-/// seconds, and std::invalid_argument on a city the generator cannot
-/// build.
+/// (optionally a [shards] section for horizon/trace overrides, and
+/// audit.* for the auditor).  Throws as LoadScenario does, and
+/// std::invalid_argument on a city the generator cannot build.
 CityScenario LoadCityScenario(const ConfigFile& config);
 
 }  // namespace whitefi::bench

@@ -62,8 +62,11 @@
 // reads, an output flag on a city or a replay, --shards without a city,
 // --minimize without --replay), each as `error: FLAG...`; a malformed
 // file or an unknown key under --strict, as `config error: FILE line N:
-// ...`.  Scripts rely on the 1-vs-2 distinction to tell a broken scenario
-// file from a simulation that failed.
+// ...`.  A description value, from the file or a flag, keeps one rule
+// (bench/scenario_file.h): text that is not a number exits 2, a number
+// the key cannot take exits 1 naming the key.  Scripts rely on the 1-vs-2
+// distinction to tell a broken scenario file from a simulation that
+// failed.
 //
 // Examples:
 //   scenario_cli --map building5 --clients 3 --mic 28 --mic-at 5 --trace
@@ -116,7 +119,8 @@ struct Options {
   bool strict = false;
   /// Run under the invariant auditor.
   bool audit = false;
-  /// Incumbent-safety budget override in ms (0 = auditor default).
+  /// Incumbent-safety budget override in ms, set as audit.safety_budget_ms
+  /// (0 = no override).
   int audit_budget_ms = 0;
   /// City runs: worker threads for the shard engine.  Purely an execution
   /// knob — results are byte-identical for any value.
@@ -149,10 +153,10 @@ void ParseOptions(int argc, char** argv, Options& o) {
             }};
   };
   const auto integer = [](std::string_view flag, std::string_view value) {
-    bench::ParseValue<long long>(flag, value);
+    bench::FlagValue<long long>(flag, value);
   };
   const auto real = [](std::string_view flag, std::string_view value) {
-    bench::ParseValue<double>(flag, value);
+    bench::FlagValue<double>(flag, value);
   };
   const auto text = [](std::string_view, std::string_view) {};
   const bench::Flag trace_only{
@@ -376,13 +380,6 @@ int RunCity(const Options& options, const ConfigFile& config) {
   bench::CityScenario scenario = bench::LoadCityScenario(config);
   scenario.engine.shards = options.shards;
   if (options.audit) scenario.engine.audit = true;
-  // audit.* is scenario vocabulary here too, consumed whether or not the
-  // auditor is on.
-  scenario.engine.audit_config = bench::LoadAuditConfig(config);
-  if (options.audit_budget_ms > 0) {
-    scenario.engine.audit_config.safety_budget =
-        options.audit_budget_ms * kTicksPerMs;
-  }
   ReportUnusedKeys(options, config);
   shard::ShardEngine engine(scenario.city, scenario.engine);
   // Shard count goes to stderr: stdout must be byte-identical across
@@ -412,10 +409,7 @@ int RunCell(const Options& options, const ConfigFile& config) {
   // The auditor knobs are part of the scenario vocabulary whether or not
   // --audit is on (a repro bundle run under plain --config must not warn
   // about its own audit.* keys).
-  AuditConfig audit_config = bench::LoadAuditConfig(config);
-  if (options.audit_budget_ms > 0) {
-    audit_config.safety_budget = options.audit_budget_ms * kTicksPerMs;
-  }
+  const AuditConfig audit_config = bench::LoadAuditConfig(config);
   (void)bench::BundleExpectation(config);  // expect.* is vocabulary too.
   // Surface keys no loader consumed: silently-ignored typos waste whole
   // experiment runs.
@@ -477,6 +471,11 @@ int Run(const Options& options) {
   }
   for (const KeySetting& setting : options.settings) {
     config.Set(setting.key, setting.value);
+  }
+  // A budget of 0 keeps the description's own.
+  if (options.audit_budget_ms > 0) {
+    config.Set("audit.safety_budget_ms",
+               std::to_string(options.audit_budget_ms));
   }
   return bench::IsCityScenario(config) ? RunCity(options, config)
                                        : RunCell(options, config);

@@ -20,35 +20,29 @@ bool AnyWindow(const std::vector<FaultWindow>& windows, SimTime t) {
   return false;
 }
 
-/// Parses "a-b" (seconds, either side possibly fractional) into a window.
-FaultWindow ParseWindow(const std::string& item, const std::string& key) {
-  const auto dash = item.find('-');
-  if (dash == std::string::npos || dash == 0 || dash + 1 >= item.size()) {
-    throw std::runtime_error("fault window '" + item + "' in " + key +
-                             " must be from-until in seconds");
-  }
-  FaultWindow w;
-  try {
-    const double from_s = std::stod(item.substr(0, dash));
-    const double until_s = std::stod(item.substr(dash + 1));
-    w.from = static_cast<SimTime>(from_s * kTicksPerSec);
-    w.until = static_cast<SimTime>(until_s * kTicksPerSec);
-  } catch (const std::exception&) {
-    throw std::runtime_error("fault window '" + item + "' in " + key +
-                             " is not numeric");
-  }
-  if (w.until <= w.from) {
-    throw std::runtime_error("fault window '" + item + "' in " + key +
-                             " must end after it starts");
-  }
-  return w;
-}
-
+/// Parses the window list at `key`: comma-separated `from-until` items,
+/// each side seconds in [0, kMaxDurationS], possibly fractional.
 std::vector<FaultWindow> ParseWindows(const ConfigFile& config,
                                       const std::string& key) {
+  const auto ticks = [&](std::string_view seconds) {
+    return static_cast<SimTime>(
+        config.Number<double>(key, seconds, 0.0, kMaxDurationS) * kTicksPerSec);
+  };
   std::vector<FaultWindow> windows;
   for (const std::string& item : config.GetList(key)) {
-    windows.push_back(ParseWindow(item, key));
+    const auto dash = item.find('-');
+    if (dash == std::string::npos || dash == 0 || dash + 1 >= item.size()) {
+      throw ConfigError("fault window '" + item + "' in " + key +
+                            " must be from-until in seconds",
+                        config.source(), config.LineOf(key));
+    }
+    const FaultWindow w{ticks(item.substr(0, dash)),
+                        ticks(item.substr(dash + 1))};
+    if (w.until <= w.from) {
+      throw std::runtime_error("fault window '" + item + "' in " + key +
+                               " must end after it starts");
+    }
+    windows.push_back(w);
   }
   return windows;
 }
@@ -65,55 +59,55 @@ bool FaultPlan::Empty() const {
 }
 
 FaultPlan ParseFaultPlan(const ConfigFile& config) {
+  // Probabilities, counts and storm shapes are bounded by FaultInjector;
+  // times here only have to fit SimTime.
+  const auto ticks = [&config](const std::string& key, double fallback_s) {
+    return static_cast<SimTime>(
+        config.Get<double>(key, fallback_s, -kMaxDurationS, kMaxDurationS) *
+        kTicksPerSec);
+  };
   FaultPlan plan;
   if (config.Has("fault.ge_p_enter_bad") || config.Has("fault.ge_p_exit_bad") ||
       config.Has("fault.ge_loss_good") || config.Has("fault.ge_loss_bad")) {
     GilbertElliottParams ge;
-    ge.p_enter_bad = config.GetDouble("fault.ge_p_enter_bad", ge.p_enter_bad);
-    ge.p_exit_bad = config.GetDouble("fault.ge_p_exit_bad", ge.p_exit_bad);
-    ge.loss_good = config.GetDouble("fault.ge_loss_good", ge.loss_good);
-    ge.loss_bad = config.GetDouble("fault.ge_loss_bad", ge.loss_bad);
+    ge.p_enter_bad = config.Get<double>("fault.ge_p_enter_bad", ge.p_enter_bad);
+    ge.p_exit_bad = config.Get<double>("fault.ge_p_exit_bad", ge.p_exit_bad);
+    ge.loss_good = config.Get<double>("fault.ge_loss_good", ge.loss_good);
+    ge.loss_bad = config.Get<double>("fault.ge_loss_bad", ge.loss_bad);
     plan.frame_loss = ge;
   }
   plan.frame_loss_windows = ParseWindows(config, "fault.frame_loss_windows");
-  plan.beacon_drop_p = config.GetDouble("fault.beacon_drop_p", 0.0);
-  plan.chirp_drop_p = config.GetDouble("fault.chirp_drop_p", 0.0);
-  plan.control_corrupt_p = config.GetDouble("fault.control_corrupt_p", 0.0);
+  plan.beacon_drop_p = config.Get<double>("fault.beacon_drop_p", 0.0);
+  plan.chirp_drop_p = config.Get<double>("fault.chirp_drop_p", 0.0);
+  plan.control_corrupt_p = config.Get<double>("fault.control_corrupt_p", 0.0);
   plan.scanner_outages = ParseWindows(config, "fault.scanner_outages");
-  plan.stale_scan_p = config.GetDouble("fault.stale_scan_p", 0.0);
-  plan.miss_chirp_p = config.GetDouble("fault.miss_chirp_p", 0.0);
-  plan.false_incumbent_p = config.GetDouble("fault.false_incumbent_p", 0.0);
-  plan.miss_incumbent_p = config.GetDouble("fault.miss_incumbent_p", 0.0);
+  plan.stale_scan_p = config.Get<double>("fault.stale_scan_p", 0.0);
+  plan.miss_chirp_p = config.Get<double>("fault.miss_chirp_p", 0.0);
+  plan.false_incumbent_p = config.Get<double>("fault.false_incumbent_p", 0.0);
+  plan.miss_incumbent_p = config.Get<double>("fault.miss_incumbent_p", 0.0);
   plan.geodb_outages = ParseWindows(config, "fault.geodb_outages");
-  plan.geodb_staleness =
-      config.GetDouble("fault.geodb_staleness_s", 0.0) * kSecond;
+  plan.geodb_staleness = config.Get<double>("fault.geodb_staleness_s", 0.0,
+                                            0.0, kMaxDurationS) *
+                         kSecond;
   if (config.Has("fault.storm_start_s") || config.Has("fault.storm_mics")) {
     ChurnStorm storm;
-    storm.start = static_cast<SimTime>(
-        config.GetDouble("fault.storm_start_s", 0.0) * kTicksPerSec);
-    storm.duration = static_cast<SimTime>(
-        config.GetDouble("fault.storm_duration_s", 10.0) * kTicksPerSec);
-    storm.mics = static_cast<int>(config.GetInt("fault.storm_mics", 1));
-    storm.mean_on = static_cast<SimTime>(
-        config.GetDouble("fault.storm_mean_on_s", 2.0) * kTicksPerSec);
-    storm.mean_off = static_cast<SimTime>(
-        config.GetDouble("fault.storm_mean_off_s", 3.0) * kTicksPerSec);
+    storm.start = ticks("fault.storm_start_s", 0.0);
+    storm.duration = ticks("fault.storm_duration_s", 10.0);
+    storm.mics = config.Get<int>("fault.storm_mics", 1);
+    storm.mean_on = ticks("fault.storm_mean_on_s", 2.0);
+    storm.mean_off = ticks("fault.storm_mean_off_s", 3.0);
     plan.storms.push_back(storm);
   }
   if (config.Has("fault.push_storm_start_s") ||
       config.Has("fault.push_storm_venues")) {
     PushStorm storm;
-    storm.start = static_cast<SimTime>(
-        config.GetDouble("fault.push_storm_start_s", 0.0) * kTicksPerSec);
-    storm.duration = static_cast<SimTime>(
-        config.GetDouble("fault.push_storm_duration_s", 10.0) * kTicksPerSec);
-    storm.venues = static_cast<int>(config.GetInt("fault.push_storm_venues", 1));
-    storm.mean_on = static_cast<SimTime>(
-        config.GetDouble("fault.push_storm_mean_on_s", 2.0) * kTicksPerSec);
-    storm.mean_off = static_cast<SimTime>(
-        config.GetDouble("fault.push_storm_mean_off_s", 3.0) * kTicksPerSec);
-    storm.radius_km = config.GetDouble("fault.push_storm_radius_km", 1.0);
-    storm.spread_km = config.GetDouble("fault.push_storm_spread_km", 2.0);
+    storm.start = ticks("fault.push_storm_start_s", 0.0);
+    storm.duration = ticks("fault.push_storm_duration_s", 10.0);
+    storm.venues = config.Get<int>("fault.push_storm_venues", 1);
+    storm.mean_on = ticks("fault.push_storm_mean_on_s", 2.0);
+    storm.mean_off = ticks("fault.push_storm_mean_off_s", 3.0);
+    storm.radius_km = config.Get<double>("fault.push_storm_radius_km", 1.0);
+    storm.spread_km = config.Get<double>("fault.push_storm_spread_km", 2.0);
     plan.push_storms.push_back(storm);
   }
   return plan;

@@ -142,7 +142,8 @@ struct FaultPlan {
 /// Parses a FaultPlan from a config file's `fault.*` keys.  Window lists
 /// are comma-separated `from-until` ranges in seconds, e.g.
 /// `fault.scanner_outages = 3-8, 12.5-20`.  Returns an empty plan when no
-/// fault key is present.
+/// fault key is present.  Throws as ConfigFile::Get does (a malformed
+/// window is a ConfigError, one ending before it starts a runtime error).
 FaultPlan ParseFaultPlan(const ConfigFile& config);
 
 /// The runtime fault oracle.  One per World; thread it via

@@ -9,6 +9,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/number.h"
+
 namespace whitefi {
 namespace {
 
@@ -90,21 +92,21 @@ class LineParser {
       } else if (key == "detail") {
         event.detail = ParseString();
       } else if (key == "t") {
-        event.at_us = ParseInt();
+        ParseInt(event.at_us);
       } else if (key == "node") {
-        event.node = static_cast<int>(ParseInt());
+        ParseInt(event.node);
       } else if (key == "src") {
-        event.src = static_cast<int>(ParseInt());
+        ParseInt(event.src);
       } else if (key == "dst") {
-        event.dst = static_cast<int>(ParseInt());
+        ParseInt(event.dst);
       } else if (key == "bytes") {
-        event.bytes = static_cast<int>(ParseInt());
+        ParseInt(event.bytes);
       } else if (key == "span") {
-        event.span_id = ParseInt();
+        ParseInt(event.span_id);
       } else if (key == "parent") {
-        event.parent_span = ParseInt();
+        ParseInt(event.parent_span);
       } else if (key == "flow") {
-        event.flow_id = ParseInt();
+        ParseInt(event.flow_id);
       } else {
         Fail("unknown key '" + key + "'");
       }
@@ -164,15 +166,13 @@ class LineParser {
       }
     }
   }
-  std::int64_t ParseInt() {
-    const bool negative = Peek() == '-';
-    if (negative) ++pos_;
-    if (Peek() < '0' || Peek() > '9') Fail("expected digit");
-    std::int64_t value = 0;
-    while (Peek() >= '0' && Peek() <= '9') {
-      value = value * 10 + (Next() - '0');
-    }
-    return negative ? -value : value;
+  /// Reads the integer at the cursor into `field`, as the field's type.
+  template <typename T>
+  void ParseInt(T& field) {
+    std::string_view token = std::string_view(s_).substr(pos_);
+    token = token.substr(0, token.find_first_of(",} \t"));
+    if (ParseValue(token, field) != std::errc()) Fail("expected an integer");
+    pos_ += token.size();
   }
 
   const std::string& s_;
@@ -210,14 +210,9 @@ void EventTrace::Append(TraceEvent event) {
   if (index < counts_.size()) ++counts_[index];
   if (!Wants(event.kind)) return;
   if (events_.size() >= options_.max_events) {
-    if (!options_.keep_last) {
-      // Stop-at-cap: the record is wanted but lost.
-      if (index < dropped_.size()) ++dropped_[index];
-      return;
-    }
-    const auto evicted = static_cast<std::size_t>(events_.front().kind);
-    if (evicted < dropped_.size()) ++dropped_[evicted];
-    events_.pop_front();
+    // Stop-at-cap: the record is wanted but lost.
+    if (index < dropped_.size()) ++dropped_[index];
+    return;
   }
   events_.push_back(std::move(event));
 }

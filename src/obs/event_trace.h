@@ -80,11 +80,9 @@ struct TraceEvent {
 
 /// Capture options.
 struct EventTraceOptions {
-  /// Record cap.  Per-kind counts stay exact beyond it.
+  /// Record cap: recording stops there.  Per-kind counts stay exact
+  /// beyond it.
   std::size_t max_events = 1 << 20;
-  /// When true the cap acts as a ring buffer (oldest records evicted);
-  /// when false, recording stops at the cap.
-  bool keep_last = false;
   /// Kinds to record; empty = all.  Counts still include filtered kinds.
   std::vector<TraceEventKind> only;
 };
@@ -114,7 +112,7 @@ class EventTrace {
     if (index < counts_.size()) ++counts_[index];
   }
 
-  /// Records currently held (capped / ring-buffered).
+  /// Records held: the first `max_events` the filter admitted.
   const std::deque<TraceEvent>& events() const { return events_; }
 
   /// Number of events offered to Append since construction (exact, not
@@ -124,9 +122,9 @@ class EventTrace {
   /// Exact per-kind count (also unaffected by cap and filter).
   std::size_t CountOf(TraceEventKind kind) const;
 
-  /// Events of `kind` that passed the filter but were lost to the cap —
-  /// ring-mode evictions or stop-at-cap skips.  Kinds rejected by the
-  /// filter are not drops: the caller opted out of them.
+  /// Events of `kind` that passed the filter but arrived after the cap.
+  /// Kinds rejected by the filter are not drops: the caller opted out of
+  /// them.
   std::size_t DroppedOf(TraceEventKind kind) const;
 
   /// Total events lost to the cap across all kinds.

@@ -70,7 +70,7 @@ std::vector<Span> BuildSpans(const std::vector<TraceEvent>& events) {
       spans.push_back(std::move(span));
     } else if (e.kind == TraceEventKind::kSpanEnd) {
       const auto it = open.find(e.span_id);
-      if (it == open.end()) continue;  // End without begin (ring-evicted).
+      if (it == open.end()) continue;  // End without begin (filtered out).
       spans[it->second].end_us = e.at_us;
       open.erase(it);
     }

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "util/units.h"
 
@@ -17,6 +18,12 @@ using SimTime = std::int64_t;
 
 inline constexpr SimTime kTicksPerMs = 1000;
 inline constexpr SimTime kTicksPerSec = 1'000'000;
+
+/// The longest time a scenario description may give, in ticks, ms and s:
+/// half the SimTime range, so that a time plus a duration still fits.
+inline constexpr SimTime kMaxDuration = std::numeric_limits<SimTime>::max() / 2;
+inline constexpr SimTime kMaxDurationMs = kMaxDuration / kTicksPerMs;
+inline constexpr double kMaxDurationS = kMaxDuration / kTicksPerSec;
 
 /// Rounds a double-microsecond duration to ticks (at least 1 tick for any
 /// strictly positive duration, so zero-length transmissions cannot occur).

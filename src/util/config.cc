@@ -25,12 +25,11 @@ std::string Lower(std::string s) {
 
 std::string ConfigError::Format(const std::string& message,
                                 const std::string& path, int line) {
+  if (path.empty() && line == 0) return message;
   std::string where = path.empty() ? "config" : path;
   if (line > 0) where += " line " + std::to_string(line);
   return where + ": " + message;
 }
-
-ConfigFile ConfigFile::Parse(std::istream& in) { return Parse(in, ""); }
 
 ConfigFile ConfigFile::Parse(std::istream& in, const std::string& source) {
   ConfigFile config;
@@ -70,7 +69,7 @@ ConfigFile ConfigFile::Parse(std::istream& in, const std::string& source) {
 
 ConfigFile ConfigFile::ParseString(const std::string& text) {
   std::istringstream in(text);
-  return Parse(in);
+  return Parse(in, "");
 }
 
 ConfigFile ConfigFile::Load(const std::string& path) {
@@ -91,41 +90,6 @@ std::string ConfigFile::Get(const std::string& key,
   if (it == values_.end()) return fallback;
   consumed_.insert(key);
   return it->second.value;
-}
-
-long long ConfigFile::GetInt(const std::string& key, long long fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  consumed_.insert(key);
-  try {
-    std::size_t used = 0;
-    const long long value = std::stoll(it->second.value, &used);
-    if (used != it->second.value.size()) {
-      throw std::invalid_argument(it->second.value);
-    }
-    return value;
-  } catch (const std::exception&) {
-    throw ConfigError(
-        "key '" + key + "' is not an integer: " + it->second.value, source_,
-        it->second.line);
-  }
-}
-
-double ConfigFile::GetDouble(const std::string& key, double fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  consumed_.insert(key);
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(it->second.value, &used);
-    if (used != it->second.value.size()) {
-      throw std::invalid_argument(it->second.value);
-    }
-    return value;
-  } catch (const std::exception&) {
-    throw ConfigError("key '" + key + "' is not a number: " + it->second.value,
-                      source_, it->second.line);
-  }
 }
 
 bool ConfigFile::GetBool(const std::string& key, bool fallback) const {
@@ -153,17 +117,33 @@ std::vector<std::string> ConfigFile::GetList(const std::string& key) const {
   return items;
 }
 
-std::vector<long long> ConfigFile::GetIntList(const std::string& key) const {
-  std::vector<long long> values;
-  for (const std::string& item : GetList(key)) {
-    try {
-      values.push_back(std::stoll(item));
-    } catch (const std::exception&) {
-      throw ConfigError("key '" + key + "' has a non-integer item: " + item,
-                        source_, LineOf(key));
-    }
+std::string ConfigFile::RealBounds(double min, double max) {
+  std::ostringstream os;
+  os.precision(15);
+  os << "finite";
+  if (min == kPositive) {
+    os << " and positive";
+  } else if (min != std::numeric_limits<double>::lowest()) {
+    os << " and >= " << min;
   }
-  return values;
+  if (max != std::numeric_limits<double>::max()) os << " and <= " << max;
+  return os.str();
+}
+
+void ConfigFile::Refuse(const std::string& key, std::string_view text,
+                        std::errc error, const char* kind,
+                        const std::string& bounds) const {
+  // A key set over the source (line 0) did not come from it.
+  const int line = LineOf(key);
+  const std::string path = line > 0 ? source_ : "";
+  if (error == std::errc::invalid_argument) {
+    throw ConfigError("key '" + key + "' is not " + kind + ": " +
+                          std::string(text),
+                      path, line);
+  }
+  throw std::runtime_error(ConfigError::Format(
+      key + " must be " + bounds + ", got '" + std::string(text) + "'", path,
+      line));
 }
 
 void ConfigFile::Set(const std::string& key, const std::string& value) {

@@ -61,25 +61,6 @@ std::string IntHistogram::ToString(const std::string& value_label) const {
   return os.str();
 }
 
-DoubleHistogram::DoubleHistogram(double lo, double hi, std::size_t num_bins)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(num_bins)) {
-  if (num_bins == 0 || hi <= lo) {
-    throw std::invalid_argument("bad histogram parameters");
-  }
-  bins_.assign(num_bins, 0);
-}
-
-void DoubleHistogram::Add(double value) {
-  auto idx = static_cast<long>((value - lo_) / width_);
-  idx = std::clamp<long>(idx, 0, static_cast<long>(bins_.size()) - 1);
-  ++bins_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double DoubleHistogram::BinCenter(std::size_t i) const {
-  return lo_ + (static_cast<double>(i) + 0.5) * width_;
-}
-
 std::size_t ExpHistogram::BucketOf(double value) {
   if (!(value >= 1.0)) return 0;  // Also catches NaN.
   const int exponent = std::ilogb(value);

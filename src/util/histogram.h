@@ -48,31 +48,6 @@ class IntHistogram {
   std::size_t total_ = 0;
 };
 
-/// Fixed-width histogram over doubles in [lo, hi).
-class DoubleHistogram {
- public:
-  /// Creates `num_bins` equal-width bins over [lo, hi).
-  DoubleHistogram(double lo, double hi, std::size_t num_bins);
-
-  /// Adds one observation; out-of-range values go to the edge bins.
-  void Add(double value);
-
-  /// Count in bin `i`.
-  std::size_t CountOf(std::size_t i) const { return bins_[i]; }
-
-  /// Center of bin `i`.
-  double BinCenter(std::size_t i) const;
-
-  /// Total observations.
-  std::size_t Total() const { return total_; }
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::size_t> bins_;
-  std::size_t total_ = 0;
-};
-
 /// Geometric (power-of-two bucketed) histogram for measurements of unknown
 /// dynamic range — latencies, sizes, durations.  Bucket 0 covers [0, 1);
 /// bucket i >= 1 covers [2^(i-1), 2^i).  Adds are O(1) with no allocation,

@@ -4,8 +4,10 @@
 #   0  success
 #   1  runtime failure, or an output file that could not be written
 #   2  configuration error: an unknown flag, a missing value, trailing
-#      garbage, a value below its bound, an invalid city, or a flag the
-#      mode cannot honour; refused before any trial runs
+#      garbage, a value below its bound, a flag the mode cannot honour,
+#      or a city description the driver cannot run (a key it does not
+#      read, a value a key cannot take, an invalid city); refused before
+#      any trial runs
 # No command line may abort the driver.
 #
 # Usage: bench_driver_exit_codes.sh <bench_fuzz_soak> <bench_chaos_recovery>
@@ -64,18 +66,30 @@ expect_refused "--trials: expected an integer >= 1, got '-1'" \
   "$CHAOS" --trials -1
 expect_refused "--clients: expected an integer >= 1, got '0'" \
   "$CHAOS" --clients=0
-expect_refused "error: city needs at least one AP" "$CITY" --aps 0
+# bench_city_scale runs a city description: its own city flags are gone,
+# and the description's problems are refused the same way.
+city() {
+  printf "$2" >"$TMP/$1.conf"
+  echo "$TMP/$1.conf"
+}
+expect_refused "error: city needs at least one AP" \
+  "$CITY" --config "$(city no_ap 'city.aps = 0\n')"
 expect_refused "--sweep: expected an integer >= 1, got '0'" \
   "$CITY" --sweep 1,0
-expect_refused "--seconds must be > 0" "$CITY" --seconds 0
-expect_refused "--seconds: expected a number, got '3s'" "$CITY" --seconds=3s
+expect_refused "zero.conf line 1: seconds must be finite and positive" \
+  "$CITY" --config "$(city zero 'seconds = 0\n')"
+expect_refused "three_s.conf line 1: key 'seconds' is not a number: 3s" \
+  "$CITY" --config="$(city three_s 'seconds = 3s\n')"
 expect_refused "--shards: expected an integer >= 1, got '0'" \
   "$CITY" --shards=0
+expect_refused "unknown argument '--aps'" "$CITY" --aps 4
+expect_refused "typo.conf line 2: unknown key 'city.apz'" \
+  "$CITY" --config "$(city typo 'city.aps = 4\ncity.apz = 4\n')"
 
 # An output that cannot be written exits 1 and is not announced.
 MISSING="$TMP/missing/dir"
-expect_exit 1 "unwritable city --json" \
-  "$CITY" --aps=36 --seconds 0.2 --json "$MISSING/x.json"
+expect_exit 1 "unwritable city --json" "$CITY" --json "$MISSING/x.json" \
+  --config "$(city small 'seconds = 0.2\ncity.aps = 36\n')"
 grep -q "error: cannot write json report to $MISSING/x.json" "$TMP/err" ||
   fail "an unwritable city --json must be reported"
 grep -q "json report:" "$TMP/out" && fail "an unwritten report was announced"

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "fault/fault.h"
 #include "obs/event_trace.h"
@@ -74,6 +77,37 @@ TEST(FaultPlan, RejectsMalformedWindows) {
   EXPECT_THROW(ParseFaultPlan(ConfigFile::ParseString(
                    "[fault]\ngeodb_outages = 8-3\n")),
                std::runtime_error);
+  // A side that is not a number is a ConfigError with the line, trailing
+  // text included.
+  try {
+    ParseFaultPlan(
+        ConfigFile::ParseString("[fault]\nscanner_outages = 0.5-0.7x\n"));
+    ADD_FAILURE() << "0.5-0.7x loaded";
+  } catch (const ConfigError& e) {
+    EXPECT_STREQ(e.what(),
+                 "config line 2: key 'fault.scanner_outages' is not a "
+                 "number: 0.7x");
+  }
+  // A number a key cannot take is a runtime error naming the key.
+  for (const auto& [text, key] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"[fault]\ngeodb_staleness_s = -5\n", "fault.geodb_staleness_s"},
+           {"[fault]\nstorm_mics = 4294967297\n", "fault.storm_mics"},
+           {"[fault]\nstorm_mics = 1\nstorm_duration_s = 1e300\n",
+            "fault.storm_duration_s"},
+           {"[fault]\nscanner_outages = 1-1e300\n",
+            "fault.scanner_outages"}}) {
+    try {
+      ParseFaultPlan(ConfigFile::ParseString(text));
+      ADD_FAILURE() << text << " loaded";
+    } catch (const ConfigError& e) {
+      ADD_FAILURE() << e.what();
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(key + " must be "),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // --------------------------------------------------------- construction --

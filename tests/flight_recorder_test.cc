@@ -114,7 +114,7 @@ TEST(BuildSpans, PairsBeginEndAndKeepsOpenSpans) {
       SpanEvent(TraceEventKind::kSpanBegin, 150, 2, 12, 11, 5, "inner"));
   events.push_back(
       SpanEvent(TraceEventKind::kSpanEnd, 180, 2, 12, 0, 5, "inner"));
-  // End without a begin (e.g. the begin was ring-evicted): skipped.
+  // End without a begin (e.g. the begin was filtered out): skipped.
   events.push_back(
       SpanEvent(TraceEventKind::kSpanEnd, 190, 3, 99, 0, 0, "orphan"));
 
@@ -171,26 +171,25 @@ TEST(EventTraceJsonl, SpanAndFlowFieldsRoundTrip) {
             std::string::npos);
 }
 
-TEST(EventTraceJsonl, RingDropsAreAccountedInMetaHeader) {
+TEST(EventTraceJsonl, CapDropsAreAccountedInMetaHeader) {
   EventTraceOptions options;
   options.max_events = 2;
-  options.keep_last = true;
   EventTrace trace(options);
   TraceEvent e;
-  e.kind = TraceEventKind::kChirp;
-  trace.Append(e);  // Evicted first.
-  e.kind = TraceEventKind::kNote;
-  trace.Append(e);  // Evicted second.
   e.kind = TraceEventKind::kFrameTx;
   trace.Append(e);
   e.kind = TraceEventKind::kFrameRx;
   trace.Append(e);
+  e.kind = TraceEventKind::kChirp;
+  trace.Append(e);  // Past the cap.
+  e.kind = TraceEventKind::kNote;
+  trace.Append(e);  // Past the cap.
 
   EXPECT_EQ(trace.TotalDropped(), 2u);
   EXPECT_EQ(trace.DroppedOf(TraceEventKind::kChirp), 1u);
   EXPECT_EQ(trace.DroppedOf(TraceEventKind::kNote), 1u);
   EXPECT_EQ(trace.DroppedOf(TraceEventKind::kFrameTx), 0u);
-  // Exact per-kind counts survive the evictions.
+  // Exact per-kind counts survive the cap.
   EXPECT_EQ(trace.TotalSeen(), 4u);
   EXPECT_EQ(trace.CountOf(TraceEventKind::kChirp), 1u);
 
@@ -202,7 +201,7 @@ TEST(EventTraceJsonl, RingDropsAreAccountedInMetaHeader) {
   EXPECT_NE(jsonl.find("\"chirp\":1"), std::string::npos);
   EXPECT_NE(jsonl.find("\"note\":1"), std::string::npos);
 
-  // ReadJsonl skips the meta header and returns the surviving records.
+  // ReadJsonl skips the meta header and returns the records kept.
   std::istringstream is(jsonl);
   const std::vector<TraceEvent> back = EventTrace::ReadJsonl(is);
   ASSERT_EQ(back.size(), 2u);
@@ -213,13 +212,12 @@ TEST(EventTraceJsonl, RingDropsAreAccountedInMetaHeader) {
 TEST(EventTraceJsonl, StopAtCapCountsTheRejectedKind) {
   EventTraceOptions options;
   options.max_events = 1;
-  options.keep_last = false;
   EventTrace trace(options);
   TraceEvent e;
   e.kind = TraceEventKind::kFrameTx;
   trace.Append(e);
   e.kind = TraceEventKind::kChirp;
-  trace.Append(e);  // Rejected: cap reached, not a ring.
+  trace.Append(e);  // Rejected: the cap is reached.
   EXPECT_EQ(trace.events().size(), 1u);
   EXPECT_EQ(trace.DroppedOf(TraceEventKind::kChirp), 1u);
   EXPECT_EQ(trace.DroppedOf(TraceEventKind::kFrameTx), 0u);

@@ -251,25 +251,13 @@ TEST(EventTrace, CountsStayExactBeyondCapAndFilter) {
   retry.kind = TraceEventKind::kMacRetry;
   trace.Append(retry);  // Filtered out, still counted.
 
-  EXPECT_EQ(trace.events().size(), 2u);  // Cap without keep_last: first two.
+  EXPECT_EQ(trace.events().size(), 2u);  // The cap keeps the first two.
   EXPECT_EQ(trace.events()[0].at_us, 0);
   EXPECT_EQ(trace.events()[1].at_us, 1);
   EXPECT_EQ(trace.TotalSeen(), 6u);
   EXPECT_EQ(trace.CountOf(TraceEventKind::kFrameTx), 5u);
   EXPECT_EQ(trace.CountOf(TraceEventKind::kMacRetry), 1u);
   EXPECT_EQ(trace.CountOf(TraceEventKind::kChirp), 0u);
-}
-
-TEST(EventTrace, KeepLastEvictsOldest) {
-  EventTraceOptions options;
-  options.max_events = 2;
-  options.keep_last = true;
-  EventTrace trace(options);
-  for (int i = 0; i < 5; ++i) trace.Append(FrameTx(i));
-  ASSERT_EQ(trace.events().size(), 2u);
-  EXPECT_EQ(trace.events()[0].at_us, 3);
-  EXPECT_EQ(trace.events()[1].at_us, 4);
-  EXPECT_EQ(trace.TotalSeen(), 5u);
 }
 
 TEST(EventTrace, ClearDropsRecordsAndCounts) {

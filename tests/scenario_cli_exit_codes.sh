@@ -11,10 +11,12 @@
 # be written exits 1 and is not announced.
 #
 # Usage: scenario_cli_exit_codes.sh <path-to-scenario_cli> <path-to-trace_lens>
+#                                   <path-to-bench_fuzz_soak>
 set -u
 
 CLI="$1"
 LENS="$2"
+SOAK="$3"
 TMP="${TMPDIR:-/tmp}/scenario_cli_exit_codes.$$"
 mkdir -p "$TMP"
 trap 'rm -rf "$TMP"' EXIT
@@ -381,6 +383,56 @@ grep -q "^error: --seconds: expected a number, got 'inf'$" "$TMP/err" || {
 expect_config_error --audit-budget-ms "$CLI" --audit-budget-ms -5
 expect_config_error --audit-budget-ms \
   "$CLI" --audit --audit-budget-ms 99999999999999999
+
+# One rule for every description value, from the file or a scenario
+# flag: a number the key cannot take exits 1 naming the key (a count past
+# int is not narrowed, a time past SimTime is not cast), and text that is
+# not a number exits 2 with its line.
+printf 'seconds = 1\nnetwork.clients = 4294967297\n' >"$TMP/clients.conf"
+expect_exit 1 "network.clients = 4294967297 in the file" \
+  "$CLI" --config "$TMP/clients.conf"
+grep -q "clients.conf line 2: network.clients must be " "$TMP/err" || {
+  cat "$TMP/err" >&2
+  fail "the error must name network.clients and its line"
+}
+expect_exit 1 "--clients 4294967297" "$CLI" --seconds 1 --clients 4294967297
+grep -q "network.clients must be " "$TMP/err" || {
+  cat "$TMP/err" >&2
+  fail "the error must name network.clients"
+}
+printf 'seconds = 1\ngeodb.refresh_s = 1e300\n' >"$TMP/refresh.conf"
+expect_exit 1 "geodb.refresh_s = 1e300" "$CLI" --config "$TMP/refresh.conf"
+grep -q "refresh.conf line 2: geodb.refresh_s must be " "$TMP/err" || {
+  cat "$TMP/err" >&2
+  fail "the error must name geodb.refresh_s and its line"
+}
+printf 'seconds = 1\nmap.extra_occupied = 28abc\n' >"$TMP/occupied.conf"
+expect_exit 2 "map.extra_occupied = 28abc" "$CLI" --config "$TMP/occupied.conf"
+grep -q "^config error: $TMP/occupied.conf line 2: " "$TMP/err" || {
+  cat "$TMP/err" >&2
+  fail "the error must carry the line"
+}
+printf 'seconds = 1\nfault.scanner_outages = 0.5-0.7x\n' >"$TMP/outage.conf"
+expect_exit 2 "fault.scanner_outages = 0.5-0.7x" \
+  "$CLI" --config "$TMP/outage.conf"
+grep -q "^config error: $TMP/outage.conf line 2: " "$TMP/err" || {
+  cat "$TMP/err" >&2
+  fail "the error must carry the line"
+}
+
+# A repro bundle whose run length is fractional replays, minimizes (the
+# minimizer reads seconds as the loader does) and its minimized bundle
+# replays too.
+expect_exit 1 "weakened soak" "$SOAK" --seeds 3 --safety-budget-ms 1 \
+  --no-minimize --out "$TMP/soak.bundle"
+sed 's/^seconds = .*/seconds = 2.5/' "$TMP/soak.bundle" >"$TMP/frac.bundle"
+grep -q "^seconds = 2.5$" "$TMP/frac.bundle" || fail "no seconds line to edit"
+expect_exit 0 "replay of a fractional-seconds bundle" \
+  "$CLI" --replay "$TMP/frac.bundle"
+expect_exit 0 "minimize of a fractional-seconds bundle" \
+  "$CLI" --replay "$TMP/frac.bundle" --minimize "$TMP/frac_min.bundle"
+expect_exit 0 "replay of the minimized bundle" \
+  "$CLI" --replay "$TMP/frac_min.bundle"
 
 # An output file that cannot be written exits 1, names the path on
 # stderr and is not announced.

@@ -495,21 +495,6 @@ TEST(IntHistogram, ToStringShowsNonEmptyBins) {
   EXPECT_EQ(s.find("width 1"), std::string::npos);
 }
 
-TEST(DoubleHistogram, BinsAndEdges) {
-  DoubleHistogram h(0.0, 10.0, 5);
-  h.Add(0.5);   // bin 0
-  h.Add(9.99);  // bin 4
-  h.Add(-3.0);  // clamped to bin 0
-  h.Add(50.0);  // clamped to bin 4
-  EXPECT_EQ(h.CountOf(0), 2u);
-  EXPECT_EQ(h.CountOf(4), 2u);
-  EXPECT_EQ(h.Total(), 4u);
-  EXPECT_DOUBLE_EQ(h.BinCenter(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.BinCenter(4), 9.0);
-  EXPECT_THROW(DoubleHistogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(DoubleHistogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
 // --------------------------------------------------------------- report ---
 
 TEST(Table, AlignsColumnsAndCountsRows) {
