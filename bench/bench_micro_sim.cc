@@ -96,7 +96,6 @@ class StormRadio : public RadioPort {
   int NodeId() const override { return id_; }
   Position Location() const override { return pos_; }
   const Channel& TunedChannel() const override { return channel_; }
-  bool RxEnabled() const override { return true; }
   bool IsAp() const override { return false; }
   void DeliverFrame(const Frame&, Dbm) override { ++delivered_; }
   void MediumChanged() override { ++changes_; }

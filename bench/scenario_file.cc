@@ -89,7 +89,7 @@ ScenarioConfig LoadScenario(const ConfigFile& config) {
 
   // Background.
   BackgroundSpec spec;  // Its defaults are the description's.
-  const int pairs = config.Get<int>("background.pairs", 0);
+  const int pairs = config.Get<int>("background.pairs", 0, 0);
   ReadMs(config, "background.ipd_ms", spec.cbr_interval);
   Read(config, "background.payload", spec.payload_bytes);
   Rng bg_rng(DeriveSeed(scenario.seed, "scenario_file.background"));
@@ -109,8 +109,8 @@ ScenarioConfig LoadScenario(const ConfigFile& config) {
   if (config.Has("mic.tv_channel")) {
     MicActivation mic;
     mic.channel = IndexOfTvChannel(config.Get<int>("mic.tv_channel", 0));
-    mic.on_time = Seconds(config, "mic.on_s", 5.0) * kSecond;
-    mic.off_time = Seconds(config, "mic.off_s", 600.0) * kSecond;
+    mic.on_time = Seconds(config, "mic.on_s", 5.0, 0.0) * kSecond;
+    mic.off_time = Seconds(config, "mic.off_s", 600.0, 0.0) * kSecond;
     if (mic.off_time <= mic.on_time) {
       throw std::runtime_error("mic.off_s must be later than mic.on_s");
     }

@@ -15,8 +15,34 @@ std::string Violation::ToString() const {
   return os.str();
 }
 
-InvariantAuditor::InvariantAuditor(const AuditConfig& config)
-    : config_(config) {}
+bool AuditBook::Advance(SimTime now) {
+  if (now < clock_) return false;
+  clock_ = now;
+  return true;
+}
+
+void AuditBook::AddTransmission(SimTime start, const Channel& channel,
+                                SimTime duration) {
+  for (UhfIndex c = channel.Low(); c <= channel.High(); ++c) {
+    unions_[static_cast<std::size_t>(c)].Add(start, start + duration);
+  }
+}
+
+SimTime AuditBook::BusyAt(UhfIndex c, SimTime now) const {
+  return unions_[static_cast<std::size_t>(c)].BusyAt(now);
+}
+
+void AuditBook::SetTune(SimTime now, int node, const Channel& channel) {
+  tunes_[node] = Tune{channel, now};
+}
+
+const AuditBook::Tune* AuditBook::TuneOf(int node) const {
+  const auto it = tunes_.find(node);
+  return it == tunes_.end() ? nullptr : &it->second;
+}
+
+InvariantAuditor::InvariantAuditor(const AuditConfig& config, AuditBook* book)
+    : config_(config), book_(book != nullptr ? book : &own_book_) {}
 
 void InvariantAuditor::Attach(World& world) {
   world_ = &world;
@@ -87,15 +113,22 @@ void InvariantAuditor::Report(SimTime at, const char* invariant, int node,
 }
 
 void InvariantAuditor::CheckMonotonic(SimTime now, const char* where) {
-  if (now < last_hook_time_) {
-    std::ostringstream os;
-    os << where << " at " << now << " after " << last_hook_time_;
-    Report(now, "monotonicity", -1, -1, os.str());
-  }
-  last_hook_time_ = std::max(last_hook_time_, now);
+  const SimTime last = book_->clock();
+  if (!book_->Advance(now)) ReportClockBackwards(now, last, where);
 }
 
-void InvariantAuditor::ChannelUnion::Add(SimTime start, SimTime end) {
+void InvariantAuditor::ReportClockBackwards(SimTime now, SimTime last,
+                                            const char* where) {
+  std::ostringstream os;
+  os << where << " at " << now << " after " << last;
+  Report(now, "monotonicity", -1, -1, os.str());
+}
+
+bool InvariantAuditor::Audits(int node) const {
+  return node == ap_node_ || clients_.find(node) != clients_.end();
+}
+
+void AuditBook::ChannelUnion::Add(SimTime start, SimTime end) {
   if (!open) {
     seg_start = start;
     seg_end = end;
@@ -111,7 +144,7 @@ void InvariantAuditor::ChannelUnion::Add(SimTime start, SimTime end) {
   seg_end = std::max(seg_end, end);
 }
 
-SimTime InvariantAuditor::ChannelUnion::BusyAt(SimTime now) const {
+SimTime AuditBook::ChannelUnion::BusyAt(SimTime now) const {
   if (!open) return closed;
   return closed + std::max<SimTime>(0, std::min(now, seg_end) - seg_start);
 }
@@ -120,34 +153,36 @@ void InvariantAuditor::OnTransmitStart(SimTime now, const RadioPort& tx,
                                        const Channel& channel,
                                        SimTime duration) {
   CheckMonotonic(now, "transmit");
-  const int node = tx.NodeId();
-  const bool audited =
-      node == ap_node_ || clients_.find(node) != clients_.end();
-  for (UhfIndex c = channel.Low(); c <= channel.High(); ++c) {
-    unions_[static_cast<std::size_t>(c)].Add(now, now + duration);
-    if (!audited || world_ == nullptr) continue;
-    const auto since = world_->MicAudibleOnSince(c, node);
-    if (!since.has_value()) continue;
-    // The clock starts at the later of mic-on and the node's arrival on
-    // this channel: a node landing on a channel whose mic predates it
-    // still gets a full detection window.
-    SimTime exposed = *since;
-    if (const auto it = tuned_at_.find(node); it != tuned_at_.end()) {
-      exposed = std::min(exposed, now - it->second);
-    }
-    if (exposed > safety_budget_) {
-      std::ostringstream os;
-      os << "tx over mic active+audible for " << exposed
-         << "us (budget " << safety_budget_ << "us)";
-      Report(now, "incumbent-safety", node, c, os.str());
+  book_->AddTransmission(now, channel, duration);
+  CheckTransmission(now, tx.NodeId(), channel);
+}
+
+void InvariantAuditor::CheckTransmission(SimTime now, int node,
+                                         const Channel& channel) {
+  if (!Audits(node)) return;
+  if (world_ != nullptr) {
+    for (UhfIndex c = channel.Low(); c <= channel.High(); ++c) {
+      const auto since = world_->MicAudibleOnSince(c, node);
+      if (!since.has_value()) continue;
+      // The clock starts at the later of mic-on and the node's arrival on
+      // this channel: a node landing on a channel whose mic predates it
+      // still gets a full detection window.
+      SimTime exposed = *since;
+      if (const AuditBook::Tune* tune = book_->TuneOf(node); tune != nullptr) {
+        exposed = std::min(exposed, now - tune->at);
+      }
+      if (exposed > safety_budget_) {
+        std::ostringstream os;
+        os << "tx over mic active+audible for " << exposed
+           << "us (budget " << safety_budget_ << "us)";
+        Report(now, "incumbent-safety", node, c, os.str());
+      }
     }
   }
   // The geometric check runs off its own clock set: ground truth at the
   // node's current position, independent of any scheduled world mic.
   if (geo_truth_ == nullptr) return;
   for (UhfIndex c = channel.Low(); c <= channel.High(); ++c) {
-    const int node = tx.NodeId();
-    if (node != ap_node_ && clients_.find(node) == clients_.end()) continue;
     const SimTime exposed = GeoExposure(now, node, c);
     if (exposed > geo_budget_) {
       std::ostringstream os;
@@ -170,17 +205,17 @@ SimTime InvariantAuditor::GeoExposure(SimTime now, int node, UhfIndex channel) {
   SimTime exposed = now - it->second;
   // Like the mic check, the clock starts no earlier than the node's
   // arrival on the channel: a node that just retuned gets a full window.
-  if (const auto tuned = tuned_at_.find(node); tuned != tuned_at_.end()) {
-    exposed = std::min(exposed, now - tuned->second);
+  if (const AuditBook::Tune* tune = book_->TuneOf(node); tune != nullptr) {
+    exposed = std::min(exposed, now - tune->at);
   }
   return exposed;
 }
 
 void InvariantAuditor::SweepGeoClocks(SimTime now) {
   auto sweep_node = [&](int node) {
-    const auto it = tuned_.find(node);
-    if (it == tuned_.end()) return;
-    for (UhfIndex c = it->second.Low(); c <= it->second.High(); ++c) {
+    const AuditBook::Tune* tune = book_->TuneOf(node);
+    if (tune == nullptr) return;
+    for (UhfIndex c = tune->channel.Low(); c <= tune->channel.High(); ++c) {
       GeoExposure(now, node, c);  // Maintains the clocks; no report here.
     }
   };
@@ -195,7 +230,7 @@ void InvariantAuditor::OnMacTiming(const RadioPort& radio,
   if (timing.Difs() != difs) {
     std::ostringstream os;
     os << "DIFS " << timing.Difs() << " != SIFS+2*slot " << difs;
-    Report(last_hook_time_, "mac-timing", radio.NodeId(), -1, os.str());
+    Report(book_->clock(), "mac-timing", radio.NodeId(), -1, os.str());
   }
   // ...and agreement with the width the radio is actually tuned to.  The
   // device updates its channel before reprogramming the MAC, so a mismatch
@@ -205,7 +240,7 @@ void InvariantAuditor::OnMacTiming(const RadioPort& radio,
     std::ostringstream os;
     os << "timing width " << WidthMHz(timing.width()) << "MHz but tuned "
        << WidthMHz(tuned) << "MHz";
-    Report(last_hook_time_, "mac-timing", radio.NodeId(),
+    Report(book_->clock(), "mac-timing", radio.NodeId(),
            radio.TunedChannel().Low(), os.str());
   }
 }
@@ -213,12 +248,25 @@ void InvariantAuditor::OnMacTiming(const RadioPort& radio,
 void InvariantAuditor::OnNodeTuned(SimTime now, int node,
                                    const Channel& channel) {
   CheckMonotonic(now, "tune");
-  tuned_[node] = channel;
-  tuned_at_[node] = now;
+  book_->SetTune(now, node, channel);
 }
 
 void InvariantAuditor::OnClientDisconnected(SimTime now, int node) {
   CheckMonotonic(now, "disconnect");
+  NoteDisconnected(now, node);
+}
+
+void InvariantAuditor::OnClientReconnected(SimTime now, int node) {
+  CheckMonotonic(now, "reconnect");
+  NoteReconnected(node);
+}
+
+void InvariantAuditor::OnChirp(SimTime now, int node) {
+  CheckMonotonic(now, "chirp");
+  NoteChirp(now, node);
+}
+
+void InvariantAuditor::NoteDisconnected(SimTime now, int node) {
   const auto it = clients_.find(node);
   if (it == clients_.end()) return;
   it->second.connected = false;
@@ -227,16 +275,14 @@ void InvariantAuditor::OnClientDisconnected(SimTime now, int node) {
   it->second.mismatch_since = -1;
 }
 
-void InvariantAuditor::OnClientReconnected(SimTime now, int node) {
-  CheckMonotonic(now, "reconnect");
+void InvariantAuditor::NoteReconnected(int node) {
   const auto it = clients_.find(node);
   if (it == clients_.end()) return;
   it->second.connected = true;
   it->second.mismatch_since = -1;
 }
 
-void InvariantAuditor::OnChirp(SimTime now, int node) {
-  CheckMonotonic(now, "chirp");
+void InvariantAuditor::NoteChirp(SimTime now, int node) {
   const auto it = clients_.find(node);
   if (it == clients_.end()) return;
   it->second.last_chirp = now;
@@ -270,16 +316,18 @@ void InvariantAuditor::CheckLiveness(SimTime now) {
 
 void InvariantAuditor::CheckConvergence(SimTime now) {
   if (ap_node_ < 0) return;
-  const auto ap_it = tuned_.find(ap_node_);
-  if (ap_it == tuned_.end()) return;
+  const AuditBook::Tune* ap_tune = book_->TuneOf(ap_node_);
+  if (ap_tune == nullptr) return;
+  const Channel& ap_channel = ap_tune->channel;
   for (auto& [node, state] : clients_) {
     if (!state.connected) {
       state.mismatch_since = -1;
       continue;
     }
-    const auto it = tuned_.find(node);
-    if (it == tuned_.end()) continue;
-    if (it->second == ap_it->second) {
+    const AuditBook::Tune* tune = book_->TuneOf(node);
+    if (tune == nullptr) continue;
+    const Channel& channel = tune->channel;
+    if (channel == ap_channel) {
       state.mismatch_since = -1;
       continue;
     }
@@ -289,10 +337,10 @@ void InvariantAuditor::CheckConvergence(SimTime now) {
     }
     if (now - state.mismatch_since > state.convergence_budget) {
       std::ostringstream os;
-      os << "connected on " << it->second.ToString() << " but AP on "
-         << ap_it->second.ToString() << " for " << now - state.mismatch_since
+      os << "connected on " << channel.ToString() << " but AP on "
+         << ap_channel.ToString() << " for " << now - state.mismatch_since
          << "us";
-      Report(now, "convergence", node, it->second.Low(), os.str());
+      Report(now, "convergence", node, channel.Low(), os.str());
       state.mismatch_since = now;  // Re-arm (one violation per budget).
     }
   }
@@ -303,7 +351,7 @@ void InvariantAuditor::CheckBooks(SimTime now) {
     const Us busy = world_->medium().ChannelBooksAt(c).busy;
     // ToUs is exact for integer ticks and the medium's busy sum is a sum
     // of integer-valued doubles, so the comparison is exact, not epsilon.
-    const Us expected = ToUs(unions_[static_cast<std::size_t>(c)].BusyAt(now));
+    const Us expected = ToUs(book_->BusyAt(c, now));
     if (busy != expected) {
       std::ostringstream os;
       os << "medium busy book " << busy

@@ -98,6 +98,58 @@ struct Violation {
   std::string ToString() const;
 };
 
+/// The world-level half of an audit: the hook clock, each UHF channel's
+/// busy-time union and each node's last tune.  A world has one book.  An
+/// auditor keeps its own unless it is handed a shared one: the auditors of
+/// a city tile's cells share their tile's (shard::AuditFanout), so a
+/// transmission updates one union however many cells the world holds.
+class AuditBook {
+ public:
+  /// A node's last OnNodeTuned.
+  struct Tune {
+    Channel channel;
+    SimTime at = 0;
+  };
+
+  /// Moves the hook clock to `now`.  False iff `now` is earlier than the
+  /// last hook (the clock then stays put).
+  bool Advance(SimTime now);
+
+  /// The latest hook time seen.
+  SimTime clock() const { return clock_; }
+
+  /// Adds a transmission's air time to the union of every spanned channel.
+  void AddTransmission(SimTime start, const Channel& channel,
+                       SimTime duration);
+
+  /// Union busy ticks of UHF channel `c` up to `now`.
+  SimTime BusyAt(UhfIndex c, SimTime now) const;
+
+  /// Records that `node` tuned to `channel` at `now`.
+  void SetTune(SimTime now, int node, const Channel& channel);
+
+  /// The node's last tune, or null before its first.
+  const Tune* TuneOf(int node) const;
+
+ private:
+  /// Running interval union of transmissions on one UHF channel.  Starts
+  /// arrive in nondecreasing time order (sim time is monotone), so the
+  /// union is a closed prefix plus one open segment — O(1) per transmit.
+  struct ChannelUnion {
+    SimTime closed = 0;     ///< Ticks of busy time before the open segment.
+    SimTime seg_start = 0;
+    SimTime seg_end = 0;
+    bool open = false;
+
+    void Add(SimTime start, SimTime end);
+    SimTime BusyAt(SimTime now) const;
+  };
+
+  SimTime clock_ = 0;
+  std::array<ChannelUnion, static_cast<std::size_t>(kNumUhfChannels)> unions_;
+  std::map<int, Tune> tunes_;
+};
+
 /// The runtime auditor.  Attach to a World through the Observability
 /// bundle BEFORE constructing the World (the medium captures the bundle in
 /// the World constructor), then call Attach() and register the WhiteFi
@@ -105,7 +157,13 @@ struct Violation {
 /// from the protocol invariants but still feed the engine-sanity checks.
 class InvariantAuditor : public AuditHooks {
  public:
-  explicit InvariantAuditor(const AuditConfig& config = {});
+  /// `book` is the world's shared book, which must outlive the auditor,
+  /// or null for an auditor that keeps its own.
+  explicit InvariantAuditor(const AuditConfig& config = {},
+                            AuditBook* book = nullptr);
+
+  InvariantAuditor(const InvariantAuditor&) = delete;
+  InvariantAuditor& operator=(const InvariantAuditor&) = delete;
 
   /// Binds the auditor to a world: resolves the safety budget and starts
   /// the periodic sweep.  Call once, after World construction and before
@@ -144,6 +202,7 @@ class InvariantAuditor : public AuditHooks {
   }
 
   // -- AuditHooks ---------------------------------------------------------
+  // Each hook updates the book, then runs this cell's checks below.
   void OnTransmitStart(SimTime now, const RadioPort& tx,
                        const Channel& channel, SimTime duration) override;
   void OnMacTiming(const RadioPort& radio, const PhyTiming& timing) override;
@@ -152,20 +211,19 @@ class InvariantAuditor : public AuditHooks {
   void OnClientReconnected(SimTime now, int node) override;
   void OnChirp(SimTime now, int node) override;
 
+  // -- Cell checks ---------------------------------------------------------
+  // The per-node halves of the hooks: they read the book but never write
+  // it, and ignore a node this auditor does not audit.  The owner of a
+  // shared book updates it once per hook and calls these on the one cell
+  // that audits the node.
+  void CheckTransmission(SimTime now, int node, const Channel& channel);
+  void NoteDisconnected(SimTime now, int node);
+  void NoteReconnected(int node);
+  void NoteChirp(SimTime now, int node);
+  /// Records a hook at `now` that ran the world's clock back from `last`.
+  void ReportClockBackwards(SimTime now, SimTime last, const char* where);
+
  private:
-  /// Running interval union of transmissions per UHF channel.  Starts
-  /// arrive in nondecreasing time order (sim time is monotone), so the
-  /// union is a closed prefix plus one open segment — O(1) per transmit.
-  struct ChannelUnion {
-    SimTime closed = 0;     ///< Ticks of busy time before the open segment.
-    SimTime seg_start = 0;
-    SimTime seg_end = 0;
-    bool open = false;
-
-    void Add(SimTime start, SimTime end);
-    SimTime BusyAt(SimTime now) const;
-  };
-
   struct ClientState {
     bool connected = true;
     SimTime disconnected_at = 0;
@@ -191,17 +249,17 @@ class InvariantAuditor : public AuditHooks {
   /// activation) starts its clock with sweep granularity at worst.
   void SweepGeoClocks(SimTime now);
 
+  /// True iff `node` is this cell's AP or one of its clients.
+  bool Audits(int node) const;
+
   AuditConfig config_;
   World* world_ = nullptr;
   SimTime safety_budget_ = 0;
-  SimTime last_hook_time_ = 0;
+  AuditBook own_book_;
+  AuditBook* book_;
 
   int ap_node_ = -1;
   std::map<int, ClientState> clients_;
-  std::map<int, Channel> tuned_;       ///< Last OnNodeTuned per node.
-  std::map<int, SimTime> tuned_at_;    ///< When that tune happened.
-
-  std::array<ChannelUnion, static_cast<std::size_t>(kNumUhfChannels)> unions_;
 
   /// Geometric ground truth (null = check disarmed).
   const GeoTruth* geo_truth_ = nullptr;

@@ -18,26 +18,39 @@ bool EnergyCrossesBoundary(const PropagationModel& prop, Dbm tx_power,
   return prop.ReceivedPower(tx_power, meters) >= floor_dbm;
 }
 
-void ShardInbox::Drain(
-    const std::function<void(const CrossShardEvent&)>& apply) {
+void ShardInbox::Sort() {
   order_.clear();
-  for (const std::vector<CrossShardEvent>& slot : slots_) {
-    for (const CrossShardEvent& event : slot) order_.push_back(&event);
+  for (std::vector<CrossShardEvent>& slot : slots_) {
+    order_.insert(order_.end(), slot.begin(), slot.end());
+    slot.clear();
   }
-  // Keys are unique (seq is unique per source), so the order is total.
-  std::sort(order_.begin(), order_.end(),
-            [](const CrossShardEvent* a, const CrossShardEvent* b) {
-              return CanonicalBefore(*a, *b);
-            });
-  for (const CrossShardEvent* event : order_) apply(*event);
-  for (std::vector<CrossShardEvent>& slot : slots_) slot.clear();
+  // Keys are unique (a source stamps each transmission or roam with its
+  // own seq and sends it here at most once), so the order is total.
+  std::sort(order_.begin(), order_.end(), CanonicalBefore);
 }
 
-void ShardOutbox::Send(CrossShardEvent event, ShardInbox& inbox,
-                       std::size_t sender) {
+CrossShardEvent ShardOutbox::Stamp(CrossShardEvent::Kind kind, SimTime time,
+                                   int node, std::uint32_t index) {
+  CrossShardEvent event;
+  event.time = time;
   event.src_tile = src_tile_;
+  event.node = node;
   event.seq = next_seq_++;
-  inbox.Push(sender, std::move(event));
+  event.index = index;
+  event.kind = kind;
+  return event;
+}
+
+CrossShardEvent ShardOutbox::Log(SimTime time, int node,
+                                 RemoteEnergy energy) {
+  log_.push_back(std::move(energy));
+  return Stamp(CrossShardEvent::Kind::kRemoteEnergy, time, node,
+               static_cast<std::uint32_t>(log_.size() - 1));
+}
+
+CrossShardEvent ShardOutbox::Roam(SimTime time, int node,
+                                  std::uint32_t plan) {
+  return Stamp(CrossShardEvent::Kind::kRoam, time, node, plan);
 }
 
 }  // namespace whitefi::shard

@@ -112,10 +112,9 @@ void ShardEngine::BuildTile(Tile& tile, const CityParams& city) {
     }
 
     if (tile.fanout != nullptr) {
-      rt.auditor = tile.fanout->auditors()[k].get();
-      rt.auditor->RegisterAp(rt.ap->NodeId());
+      tile.fanout->RegisterAp(k, rt.ap->NodeId());
       for (const ClientNode* client : rt.clients) {
-        rt.auditor->RegisterClient(client->NodeId(), client_params);
+        tile.fanout->RegisterClient(k, client->NodeId(), client_params);
       }
     }
 
@@ -152,9 +151,9 @@ void ShardEngine::BuildTile(Tile& tile, const CityParams& city) {
 
   // The boundary's observation seam: every completed LOCAL transmission
   // that still reaches a neighbor tile above the carrier-sense floor is
-  // staged for the barrier.  The tap runs on this tile's round thread and
-  // writes only this tile's sequence stream and its own sender slot in
-  // each neighbor's inbox (single writer each).
+  // logged once and keyed for the barrier.  The tap runs on this tile's
+  // round thread and writes only this tile's outbox and its own sender
+  // slot in each neighbor's inbox (single writer each).
   Tile* const self = &tile;
   tile.world->medium().AddEnergyTap(
       [this, self](const Medium::EnergyTapInfo& info) {
@@ -165,24 +164,21 @@ void ShardEngine::BuildTile(Tile& tile, const CityParams& city) {
 void ShardEngine::OnLocalEnergy(Tile& tile,
                                 const Medium::EnergyTapInfo& info) {
   const Position pos = info.tx.Location();
+  bool logged = false;
+  CrossShardEvent key;
   for (const Seam& seam : tile.seams) {
     if (!EnergyCrossesBoundary(prop_, info.power, pos, seam.rect,
                                cs_floor_)) {
       continue;
     }
-    CrossShardEvent event;
-    event.kind = CrossShardEvent::Kind::kRemoteEnergy;
-    event.time = info.end;
-    event.node = info.tx.NodeId();
-    event.is_ap = info.tx.IsAp();
-    event.position = pos;
-    event.channel = info.channel;
-    event.frame = info.frame;
-    event.tx_power = info.power;
-    event.duration = info.end - info.start;
-    tile.outbox.Send(std::move(event),
-                     tiles_[static_cast<std::size_t>(seam.tile)]->inbox,
-                     seam.slot);
+    if (!logged) {
+      logged = true;
+      key = tile.outbox.Log(
+          info.end, info.tx.NodeId(),
+          RemoteEnergy{info.tx.IsAp(), pos, info.channel, info.frame,
+                       info.power, info.end - info.start});
+    }
+    tiles_[static_cast<std::size_t>(seam.tile)]->inbox.Push(seam.slot, key);
   }
 }
 
@@ -194,7 +190,11 @@ void ShardEngine::Run(double seconds) {
   };
   while (now_ < end) {
     const SimTime target = std::min(now_ + horizon_, end);
-    each_tile([target](Tile& tile) { tile.world->sim().Run(target); });
+    each_tile([target](Tile& tile) {
+      // The last barrier read this log; nothing reads it during a round.
+      tile.outbox.ClearLog();
+      tile.world->sim().Run(target);
+    });
     now_ = target;
     ++rounds_;
     StageRoams(target);
@@ -214,21 +214,14 @@ void ShardEngine::StageRoams(SimTime target) {
   };
   while (roam_cursor_ < layout_.roams.size() &&
          layout_.roams[roam_cursor_].at <= target) {
-    const RoamPlan& plan = layout_.roams[roam_cursor_++];
+    const auto index = static_cast<std::uint32_t>(roam_cursor_++);
+    const RoamPlan& plan = layout_.roams[index];
     CellRuntime& from = RuntimeOf(plan.from_cell);
     const auto slot = static_cast<std::size_t>(plan.client_slot);
     if (slot < from.cbr.size()) from.cbr[slot]->SetActive(false);
-    CrossShardEvent event;
-    event.kind = CrossShardEvent::Kind::kRoam;
-    event.time = plan.at;
-    event.node = from.clients[slot]->NodeId();
-    event.position = plan.arrive;
-    event.from_cell = plan.from_cell;
-    event.to_cell = plan.to_cell;
-    event.client_slot = plan.client_slot;
-    tile_of(plan.from_cell)
-        .outbox.Send(std::move(event), tile_of(plan.to_cell).inbox,
-                     kRoamSlot);
+    const CrossShardEvent key = tile_of(plan.from_cell).outbox.Roam(
+        plan.at, from.clients[slot]->NodeId(), index);
+    tile_of(plan.to_cell).inbox.Push(kRoamSlot, key);
   }
 }
 
@@ -242,20 +235,25 @@ void ShardEngine::ApplyInbox(Tile& tile) {
       return;
     }
     // Applied at the horizon tick (sim time == target); the ghost keeps
-    // its full original duration.
+    // its full original duration.  The source's log is read-only until
+    // its next round starts.
+    const RemoteEnergy& energy =
+        tiles_[static_cast<std::size_t>(event.src_tile)]->outbox.Logged(
+            event.index);
     tile.world->medium().InjectForeignEnergy(
-        event.node, event.is_ap, event.position, event.channel, event.frame,
-        event.tx_power, event.duration);
+        event.node, energy.is_ap, energy.position, energy.channel,
+        energy.frame, energy.tx_power, energy.duration);
     ++tile.ghosts;
   });
 }
 
 void ShardEngine::ApplyRoam(Tile& tile, const CrossShardEvent& event) {
-  CellRuntime& to = RuntimeOf(event.to_cell);
-  const CellPlan& plan = layout_.cells[static_cast<std::size_t>(event.to_cell)];
+  const RoamPlan& roam = layout_.roams[event.index];
+  CellRuntime& to = RuntimeOf(roam.to_cell);
+  const CellPlan& plan = layout_.cells[static_cast<std::size_t>(roam.to_cell)];
 
   DeviceConfig cfg;
-  cfg.position = event.position;
+  cfg.position = roam.arrive;
   cfg.ssid = plan.ssid;
   // The session lands on the destination AP's CURRENT channels — runtime
   // state, but deterministic at a barrier tick for every shard count.
@@ -272,8 +270,10 @@ void ShardEngine::ApplyRoam(Tile& tile, const CrossShardEvent& event) {
   src->Start();
   to.clients.push_back(&client);
   to.cbr.push_back(std::move(src));
-  if (to.auditor != nullptr) {
-    to.auditor->RegisterClient(client.NodeId(), client_params);
+  if (tile.fanout != nullptr) {
+    const CellRef& ref = cell_refs_[static_cast<std::size_t>(roam.to_cell)];
+    tile.fanout->RegisterClient(static_cast<std::size_t>(ref.index),
+                                client.NodeId(), client_params);
   }
   ++tile.roams;
 }

@@ -3,16 +3,18 @@
 // One World (Simulator + Medium + nodes) per spatial tile, advanced in
 // rounds of one conservative horizon each:
 //
-//   round:   every tile runs sim.Run(target) — in parallel, one tile per
-//            pool slot.  A tile touches only its own world and metrics
-//            registry, plus its own sender slot in each neighbor's inbox,
+//   round:   every tile clears its outbox log, then runs
+//            sim.Run(target) — in parallel, one tile per pool slot.  A
+//            tile touches only its own world, metrics registry and
+//            outbox, plus its own sender slot in each neighbor's inbox,
 //            so rounds share no mutable state.
 //   barrier: the engine (serially) stages the scripted roams that fell
 //            due and cancels their origin traffic; then every tile, in
 //            parallel again, sorts its own inbox into the canonical
 //            (time, src_tile, node, seq) order and applies it at its
 //            horizon tick — ghost energy via Medium::InjectForeignEnergy,
-//            roams as session handoffs.
+//            its payload read from the source tile's log (no tile writes
+//            a log during the barrier), roams as session handoffs.
 //
 // Determinism: the partition, the horizon, the canonical order and every
 // per-tile seed derive from the scenario alone, and a barrier event only
@@ -54,7 +56,8 @@ struct ShardEngineConfig {
   /// Conservative horizon per round; 0 derives PhysicalLookaheadBound().
   SimTime horizon = 0;
   /// Attach one InvariantAuditor per AP cell (incumbent safety, chirp
-  /// liveness, convergence, book conservation) through an AuditFanout.
+  /// liveness, convergence, book conservation) through an AuditFanout,
+  /// one audit book per tile world.
   bool audit = false;
   AuditConfig audit_config;
   /// Attach a per-tile EventTrace; the summary reports exact totals.
@@ -130,7 +133,6 @@ class ShardEngine {
     std::vector<ClientNode*> clients;
     std::vector<std::unique_ptr<CbrSource>> cbr;
     std::vector<std::unique_ptr<SaturatedSource>> saturated;
-    InvariantAuditor* auditor = nullptr;
   };
 
   /// A seam this tile's energy may cross: the neighbor, its rectangle and

@@ -36,11 +36,23 @@ std::string Frame::ToString() const {
 Medium::Medium(Simulator& sim, const MediumParams& params)
     : sim_(sim), params_(params), prop_(params.propagation) {}
 
-void Medium::Register(RadioPort* radio) { radios_.push_back(radio); }
+void Medium::Register(RadioPort* radio) {
+  listeners_.push_back(Listener{radio, radio->TunedChannel(), 0});
+}
 
 void Medium::Unregister(RadioPort* radio) {
-  radios_.erase(std::remove(radios_.begin(), radios_.end(), radio),
-                radios_.end());
+  std::erase_if(listeners_,
+                [radio](const Listener& l) { return l.radio == radio; });
+}
+
+void Medium::Retune(const RadioPort* radio, const Channel& channel,
+                    SimTime rx_enabled_at) {
+  for (Listener& l : listeners_) {
+    if (l.radio != radio) continue;
+    l.tuned = channel;
+    l.rx_enabled_at = rx_enabled_at;
+    return;
+  }
 }
 
 void Medium::AccrueChannel(std::size_t c) {
@@ -64,12 +76,18 @@ void Medium::InjectForeignEnergy(int node_id, bool is_ap,
                                  const Position& position,
                                  const Channel& channel, const Frame& frame,
                                  Dbm tx_power, SimTime duration) {
-  auto& source = foreign_sources_[node_id];
-  if (source == nullptr) source = std::make_unique<ForeignSource>();
-  source->id = node_id;
-  source->ap = is_ap;
-  source->pos = position;
-  StartTransmission(source.get(), channel, frame, tx_power, duration,
+  if (is_ap) {
+    const auto at =
+        std::lower_bound(foreign_aps_.begin(), foreign_aps_.end(), node_id);
+    if (at == foreign_aps_.end() || *at != node_id) {
+      foreign_aps_.insert(at, node_id);
+    }
+  }
+  ForeignSource& source = ghost_sources_.emplace_back();
+  source.id = node_id;
+  source.ap = is_ap;
+  source.pos = position;
+  StartTransmission(&source, channel, frame, tx_power, duration,
                     /*foreign=*/true, {});
 }
 
@@ -181,10 +199,12 @@ void Medium::CollectRecords() {
   if (on_air_ == 0) {
     first_record_id_ += records_.size();
     records_.clear();
+    ghost_sources_.clear();
     return;
   }
   const SimTime horizon = sim_.Now() - kTicksPerSec;
   while (records_.front().end < horizon) {
+    if (records_.front().foreign) ghost_sources_.pop_front();
     records_.pop_front();
     ++first_record_id_;
   }
@@ -222,17 +242,16 @@ const Medium::ActiveTx* Medium::FindTx(std::uint64_t id) const {
 }
 
 double Medium::InterferencePowerMw(const ActiveTx& tx,
-                                   const RadioPort& rx) const {
+                                   const Position& at) const {
   double total_mw = 0.0;
   for (std::uint64_t interferer_id : tx.interferers) {
     const ActiveTx* interferer = FindTx(interferer_id);
     if (interferer == nullptr) continue;
-    const Dbm p = prop_.ReceivedPower(interferer->power,
-                                      interferer->tx->Location(),
-                                      rx.Location());
+    const Dbm p =
+        prop_.ReceivedPower(interferer->power, interferer->tx->Location(), at);
     // Only the interferer's in-band power corrupts our symbols.
     const double fraction =
-        InBandPowerFraction(interferer->channel, rx.TunedChannel());
+        InBandPowerFraction(interferer->channel, tx.channel);
     if (fraction <= 0.0) continue;
     total_mw += DbmToMilliwatt(p) * fraction;
   }
@@ -267,21 +286,27 @@ void Medium::ResolveReceptions(const ActiveTx& tx) {
       DbmToMilliwatt(NoiseFloorDbm(WidthMHz(tx.channel.width)));
   const double min_sinr = DbToLinear(params_.decode_snr_db);
 
-  for (RadioPort* rx : radios_) {
-    if (rx == tx.tx) continue;
-    if (!rx->RxEnabled()) continue;
+  const SimTime now = sim_.Now();
+  // By index, reading each entry afresh: a delivery may retune a radio,
+  // and Retune edits the table in place.
+  for (std::size_t i = 0; i < listeners_.size(); ++i) {
+    const Listener& listener = listeners_[i];
+    if (listener.radio == tx.tx) continue;
+    if (now < listener.rx_enabled_at) continue;
     // Exact (F, W) match required: packets at other widths or centers are
     // dropped (paper Section 5.4).
-    if (!(rx->TunedChannel() == tx.channel)) continue;
+    if (!(listener.tuned == tx.channel)) continue;
+    RadioPort* const rx = listener.radio;
     BuildTalkedDuring();
     if (std::find(talked_during.begin(), talked_during.end(), rx->NodeId()) !=
         talked_during.end()) {
       continue;
     }
+    const Position rx_at = rx->Location();
     const Dbm rx_power =
-        prop_.ReceivedPower(tx.power, tx.tx->Location(), rx->Location());
+        prop_.ReceivedPower(tx.power, tx.tx->Location(), rx_at);
     const double signal_mw = DbmToMilliwatt(rx_power);
-    const double interference_mw = InterferencePowerMw(tx, *rx);
+    const double interference_mw = InterferencePowerMw(tx, rx_at);
     const auto type_index = static_cast<std::size_t>(tx.frame.type);
     if (signal_mw / (noise_mw + interference_mw) < min_sinr) {
       WHITEFI_METRIC_COUNT(drop_counters_[type_index], 1);
@@ -350,9 +375,12 @@ void Medium::ResolveReceptions(const ActiveTx& tx) {
 }
 
 void Medium::NotifyOverlapping(const Channel& channel) {
-  for (RadioPort* radio : radios_) {
-    if (!radio->RxEnabled()) continue;
-    if (radio->TunedChannel().Overlaps(channel)) radio->MediumChanged();
+  const SimTime now = sim_.Now();
+  for (std::size_t i = 0; i < listeners_.size(); ++i) {
+    const Listener& listener = listeners_[i];
+    if (now >= listener.rx_enabled_at && listener.tuned.Overlaps(channel)) {
+      listener.radio->MediumChanged();
+    }
   }
 }
 
@@ -423,15 +451,13 @@ std::vector<int> Medium::ActiveApsBetween(const ChannelBooks& before,
 
 std::vector<int> Medium::ApIds() const {
   std::vector<int> ids;
-  for (const RadioPort* radio : radios_) {
-    if (radio->IsAp()) ids.push_back(radio->NodeId());
+  for (const Listener& listener : listeners_) {
+    if (listener.radio->IsAp()) ids.push_back(listener.radio->NodeId());
   }
   // Cross-shard APs whose ghost energy lands here count as interfering
   // APs too: a scanner's B_c must see a foreign AP across a shard seam
   // exactly as it would in a flat world.
-  for (const auto& [id, source] : foreign_sources_) {
-    if (source->ap) ids.push_back(id);
-  }
+  ids.insert(ids.end(), foreign_aps_.begin(), foreign_aps_.end());
   return ids;
 }
 

@@ -24,6 +24,9 @@
 // the lazily-partitioned busy sums are bit-equal to the eager walk.
 // Transmission records live in one ring indexed by their dense, monotone
 // ids, so a lookup is an index and a transmission allocates no map node.
+// Deliveries and carrier notifications walk one contiguous table of each
+// radio's tuned channel and rx-enable time, so a transmission makes no
+// virtual call on a radio it cannot reach.
 #pragma once
 
 #include <array>
@@ -31,7 +34,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "fault/fault.h"
@@ -77,15 +79,12 @@ class RadioPort {
   /// Stable node id.
   virtual int NodeId() const = 0;
 
-  /// Physical location (static).
+  /// Physical location, read when a frame ends (see Device::SetPosition).
   virtual Position Location() const = 0;
 
-  /// Channel the main radio is tuned to.
+  /// Channel the main radio is tuned to.  The medium keeps its own copy,
+  /// set at Register and by Medium::Retune.
   virtual const Channel& TunedChannel() const = 0;
-
-  /// False while the PLL is retuning or the node is down; no carrier
-  /// sense callbacks and no delivery happen in that state.
-  virtual bool RxEnabled() const = 0;
 
   /// True iff the registered node is an access point (used for the B_c
   /// "interfering APs" books).
@@ -110,11 +109,19 @@ class Medium {
  public:
   Medium(Simulator& sim, const MediumParams& params);
 
-  /// Registers a radio; it must outlive the medium or be unregistered.
+  /// Registers a radio, listening on its tuned channel from now on; it
+  /// must outlive the medium or be unregistered.
   void Register(RadioPort* radio);
 
   /// Unregisters a radio.
   void Unregister(RadioPort* radio);
+
+  /// Records that `radio` is now tuned to `channel` and deaf until
+  /// `rx_enabled_at` (the PLL retune).  Carrier notifications and
+  /// deliveries read the medium's own table, never the radio, so every
+  /// retune of a registered radio must be reported here.
+  void Retune(const RadioPort* radio, const Channel& channel,
+              SimTime rx_enabled_at);
 
   /// Starts a transmission of `frame` on `channel` lasting `duration`.
   /// Delivery and notifications are handled internally; the caller gets
@@ -124,7 +131,8 @@ class Medium {
 
   /// Injects cross-shard "ghost" energy: a transmission by `node_id`, a
   /// node that lives in another shard, radiating from `position` at
-  /// `tx_power` for `duration` starting now.  The ghost participates in
+  /// `tx_power` for `duration` starting now.  The ghost keeps `position`
+  /// until it is collected, even if its node moves.  It participates in
   /// carrier sense, SINR interference, the airtime books, and the frame
   /// taps exactly like a local transmission — so scanners measure it and
   /// chirp watches hear it — but it is never delivered to any radio (its
@@ -162,7 +170,8 @@ class Medium {
   /// than 1 s ago, or when nothing is on the air).
   std::size_t RetainedRecords() const { return records_.size(); }
 
-  /// Ids of registered radios flagged as APs.
+  /// Ids of registered radios flagged as APs, in registration order, then
+  /// of every foreign AP whose ghost energy landed here, ascending.
   std::vector<int> ApIds() const;
 
   /// A tap invoked after every completed transmission, regardless of any
@@ -224,9 +233,10 @@ class Medium {
     bool foreign = false;
   };
 
-  /// Medium-side stand-in for a transmitter that lives in another shard:
-  /// it radiates (ghost transmissions reference it for position/id) but
-  /// never receives, so it is kept out of `radios_`.
+  /// Medium-side stand-in for a transmitter that lives in another shard,
+  /// one per ghost record, at the position the ghost was emitted from: it
+  /// radiates (ghost transmissions reference it for position/id) but
+  /// never receives, so it has no Listener.
   struct ForeignSource final : RadioPort {
     int id = 0;
     bool ap = false;
@@ -236,10 +246,16 @@ class Medium {
     int NodeId() const override { return id; }
     Position Location() const override { return pos; }
     const Channel& TunedChannel() const override { return tuned; }
-    bool RxEnabled() const override { return false; }
     bool IsAp() const override { return ap; }
     void DeliverFrame(const Frame&, Dbm) override {}
     void MediumChanged() override {}
+  };
+
+  /// A registered radio as deliveries and carrier notifications see it.
+  struct Listener {
+    RadioPort* radio;
+    Channel tuned;
+    SimTime rx_enabled_at;  ///< Deaf before this time (PLL retune).
   };
 
   void StartTransmission(RadioPort* tx, const Channel& channel,
@@ -252,15 +268,19 @@ class Medium {
   void NotifyOverlapping(const Channel& channel);
   /// Brings one UHF channel's busy book current (lazy accrual).
   void AccrueChannel(std::size_t c);
-  double InterferencePowerMw(const ActiveTx& tx, const RadioPort& rx) const;
+  /// In-band power (mW) of `tx`'s interferers at a receiver located at
+  /// `at` and tuned to `tx.channel`.
+  double InterferencePowerMw(const ActiveTx& tx, const Position& at) const;
   const ActiveTx* FindTx(std::uint64_t id) const;
 
   Simulator& sim_;
   MediumParams params_;
   PropagationModel prop_;
-  std::vector<RadioPort*> radios_;
-  /// Cross-shard transmitters by node id (ordered so ApIds is stable).
-  std::map<int, std::unique_ptr<ForeignSource>> foreign_sources_;
+  /// Registered radios in registration order, the order in which
+  /// deliveries and carrier notifications go out.
+  std::vector<Listener> listeners_;
+  /// Ids of the foreign APs heard so far, ascending.
+  std::vector<int> foreign_aps_;
   std::vector<FrameTap> taps_;
   std::vector<EnergyTap> energy_taps_;
   /// Every transmission record still referenceable, on the air or ended:
@@ -269,6 +289,9 @@ class Medium {
   /// the front; a deque never moves its elements, so the pointers in
   /// channel_txs_ stay valid while the ring grows.
   std::deque<ActiveTx> records_;
+  /// The transmitters of the ghosts in `records_`, in id order: a ghost's
+  /// `tx` points at its own, and records and sources leave together.
+  std::deque<ForeignSource> ghost_sources_;
   std::uint64_t first_record_id_ = 1;
   std::uint64_t next_tx_id_ = 1;
   /// Records whose transmission has not ended yet.

@@ -64,6 +64,7 @@ void Device::SwitchChannel(const Channel& channel) {
     auditor->OnNodeTuned(world_.sim().Now(), id_, channel_);
   }
   rx_enabled_at_ = world_.sim().Now() + config_.tune_delay;
+  world_.medium().Retune(this, channel_, rx_enabled_at_);
   const SimTime generation = rx_enabled_at_;
   world_.sim().Schedule(rx_enabled_at_, [this, generation, channel] {
     // Only fire if no further switch superseded this one.

@@ -47,7 +47,6 @@ class Device : public RadioPort, public MacCallbacks {
   int NodeId() const override { return id_; }
   Position Location() const override { return config_.position; }
   const Channel& TunedChannel() const override { return channel_; }
-  bool RxEnabled() const override;
   bool IsAp() const override { return config_.is_ap; }
   void DeliverFrame(const Frame& frame, Dbm rx_power) override;
   void MediumChanged() override;
@@ -55,6 +54,10 @@ class Device : public RadioPort, public MacCallbacks {
   // -- MacCallbacks --------------------------------------------------------
   void MacReceived(const Frame& frame, Dbm rx_power) override;
   void MacSendComplete(const Frame& frame, bool success) override;
+
+  /// False while the PLL is retuning: the medium delivers nothing and
+  /// sends no carrier notification in that state.
+  bool RxEnabled() const;
 
   /// Retunes the main radio: aborts the MAC, drops its queue, and disables
   /// reception for the configured tune delay.
@@ -77,9 +80,12 @@ class Device : public RadioPort, public MacCallbacks {
   /// session, whose respected map rides the tv_map slot).
   void SetTvMap(const SpectrumMap& map) { config_.tv_map = map; }
 
-  /// Moves the device (mobility models).  Subsequent propagation reads
-  /// the new position; frames already in flight keep the geometry they
-  /// were launched with.
+  /// Moves the device (mobility models).  The medium reads positions when
+  /// it needs them: carrier sense at each query, reception and
+  /// interference when a frame ends (ResolveReceptions,
+  /// InterferencePowerMw).  So a frame already in flight, sent or being
+  /// received, takes the geometry of the new position.  Ghost energy is
+  /// the exception: a ghost keeps the position its node had at emission.
   void SetPosition(const Position& position) { config_.position = position; }
 
   Mac& mac() { return mac_; }

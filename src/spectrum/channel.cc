@@ -5,26 +5,6 @@
 
 namespace whitefi {
 
-MHz WidthMHz(ChannelWidth w) {
-  switch (w) {
-    case ChannelWidth::kW5: return 5.0;
-    case ChannelWidth::kW10: return 10.0;
-    case ChannelWidth::kW20: return 20.0;
-  }
-  throw std::logic_error("bad width");
-}
-
-int HalfSpan(ChannelWidth w) {
-  switch (w) {
-    case ChannelWidth::kW5: return 0;
-    case ChannelWidth::kW10: return 1;
-    case ChannelWidth::kW20: return 2;
-  }
-  throw std::logic_error("bad width");
-}
-
-int SpanChannels(ChannelWidth w) { return 2 * HalfSpan(w) + 1; }
-
 ChannelWidth NarrowerWidth(ChannelWidth w) {
   switch (w) {
     case ChannelWidth::kW20: return ChannelWidth::kW10;
@@ -50,14 +30,6 @@ bool Channel::IsPhysicallyContiguous() const {
     if (!FrequencyContiguous(i, i + 1)) return false;
   }
   return true;
-}
-
-bool Channel::Contains(UhfIndex uhf) const {
-  return uhf >= Low() && uhf <= High();
-}
-
-bool Channel::Overlaps(const Channel& other) const {
-  return Low() <= other.High() && other.Low() <= High();
 }
 
 std::string Channel::ToString() const {

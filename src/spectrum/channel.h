@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -26,15 +27,32 @@ inline constexpr std::array<ChannelWidth, 3> kAllWidths = {
 /// Number of supported widths (the paper's N_W).
 inline constexpr int kNumWidths = 3;
 
+// The geometry below runs per radio per transmission in the medium, so it
+// is inline; an out-of-range width still throws std::logic_error.
+
 /// Width in MHz (5, 10, or 20).
-MHz WidthMHz(ChannelWidth w);
+constexpr MHz WidthMHz(ChannelWidth w) {
+  switch (w) {
+    case ChannelWidth::kW5: return 5.0;
+    case ChannelWidth::kW10: return 10.0;
+    case ChannelWidth::kW20: return 20.0;
+  }
+  throw std::logic_error("bad width");
+}
 
 /// Number of UHF channels the width spans on each side of the center
 /// (0 for 5 MHz, 1 for 10 MHz, 2 for 20 MHz).
-int HalfSpan(ChannelWidth w);
+constexpr int HalfSpan(ChannelWidth w) {
+  switch (w) {
+    case ChannelWidth::kW5: return 0;
+    case ChannelWidth::kW10: return 1;
+    case ChannelWidth::kW20: return 2;
+  }
+  throw std::logic_error("bad width");
+}
 
 /// Number of UHF channels spanned in total (1, 3, or 5).
-int SpanChannels(ChannelWidth w);
+constexpr int SpanChannels(ChannelWidth w) { return 2 * HalfSpan(w) + 1; }
 
 /// The width one step narrower; throws for 5 MHz.
 ChannelWidth NarrowerWidth(ChannelWidth w);
@@ -50,10 +68,10 @@ struct Channel {
   friend bool operator==(const Channel&, const Channel&) = default;
 
   /// Lowest spanned UHF index.
-  UhfIndex Low() const { return center - HalfSpan(width); }
+  constexpr UhfIndex Low() const { return center - HalfSpan(width); }
 
   /// Highest spanned UHF index.
-  UhfIndex High() const { return center + HalfSpan(width); }
+  constexpr UhfIndex High() const { return center + HalfSpan(width); }
 
   /// True iff all spanned UHF indices are in range (does not check the
   /// channel-37 frequency gap; see IsPhysicallyContiguous).
@@ -64,10 +82,14 @@ struct Channel {
   bool IsPhysicallyContiguous() const;
 
   /// True iff UHF channel `uhf` lies within this channel's span.
-  bool Contains(UhfIndex uhf) const;
+  constexpr bool Contains(UhfIndex uhf) const {
+    return uhf >= Low() && uhf <= High();
+  }
 
   /// True iff the two channels share at least one UHF channel.
-  bool Overlaps(const Channel& other) const;
+  constexpr bool Overlaps(const Channel& other) const {
+    return Low() <= other.High() && other.Low() <= High();
+  }
 
   /// Label like "(ch28, 20MHz)".
   std::string ToString() const;

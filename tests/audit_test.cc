@@ -20,12 +20,9 @@ class FakeRadio : public RadioPort {
   int NodeId() const override { return id_; }
   Position Location() const override { return {0.0, 0.0}; }
   const Channel& TunedChannel() const override { return channel_; }
-  bool RxEnabled() const override { return true; }
   bool IsAp() const override { return false; }
   void DeliverFrame(const Frame&, Dbm) override {}
   void MediumChanged() override {}
-
-  void Tune(const Channel& channel) { channel_ = channel; }
 
  private:
   int id_;

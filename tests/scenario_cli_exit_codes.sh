@@ -400,6 +400,31 @@ grep -q "network.clients must be " "$TMP/err" || {
   cat "$TMP/err" >&2
   fail "the error must name network.clients"
 }
+# Counts and times that cannot be negative: a negative background pair
+# count would run no pairs, and a mic over before t = 0 would never fire.
+printf 'seconds = 1\nbackground.pairs = -3\n' >"$TMP/pairs.conf"
+expect_exit 1 "background.pairs = -3" \
+  "$CLI" --config "$TMP/pairs.conf" --strict --audit
+grep -q "pairs.conf line 2: background.pairs must be " "$TMP/err" || {
+  cat "$TMP/err" >&2
+  fail "the error must name background.pairs and its line"
+}
+printf 'seconds = 1\nmic.tv_channel = 28\nmic.on_s = -4\nmic.off_s = -2\n' \
+  >"$TMP/mic_negative.conf"
+expect_exit 1 "mic.on_s = -4, mic.off_s = -2" \
+  "$CLI" --config "$TMP/mic_negative.conf" --strict --audit
+grep -q "mic_negative.conf line 3: mic.on_s must be " "$TMP/err" || {
+  cat "$TMP/err" >&2
+  fail "the error must name mic.on_s and its line"
+}
+printf 'seconds = 1\nmic.tv_channel = 28\nmic.off_s = -2\n' \
+  >"$TMP/mic_off_negative.conf"
+expect_exit 1 "mic.off_s = -2" \
+  "$CLI" --config "$TMP/mic_off_negative.conf" --strict --audit
+grep -q "mic_off_negative.conf line 3: mic.off_s must be " "$TMP/err" || {
+  cat "$TMP/err" >&2
+  fail "the error must name mic.off_s and its line"
+}
 printf 'seconds = 1\ngeodb.refresh_s = 1e300\n' >"$TMP/refresh.conf"
 expect_exit 1 "geodb.refresh_s = 1e300" "$CLI" --config "$TMP/refresh.conf"
 grep -q "refresh.conf line 2: geodb.refresh_s must be " "$TMP/err" || {

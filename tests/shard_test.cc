@@ -1,17 +1,20 @@
 // Tests for the city-scale sharded federation (src/shard): the spatial
 // partition and its interference-cutoff tile floor, the cross-shard
-// event boundary (canonical order, CS-floor crossing predicate), the
-// ghost-energy semantics in Medium, and the engine's central contract —
+// event boundary (canonical order, CS-floor crossing predicate, the
+// per-round log), the ghost-energy semantics in Medium, the audit fanout's
+// per-world book and per-cell routing, and the engine's central contract —
 // byte-identical science at every shard count.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "shard/audit_fanout.h"
 #include "shard/boundary.h"
 #include "shard/city.h"
 #include "shard/engine.h"
@@ -19,6 +22,7 @@
 #include "sim/events.h"
 #include "sim/medium.h"
 #include "sim/propagation.h"
+#include "sim/world.h"
 #include "util/units.h"
 
 namespace whitefi::shard {
@@ -137,30 +141,65 @@ TEST(BoundaryTest, CanonicalOrderIsTimeTileNodeSeq) {
 }
 
 TEST(BoundaryTest, OutboxStampsTileAndMonotonicSeq) {
+  // One stream per source tile: logged transmissions and roams draw from
+  // it in emission order, and it runs on across rounds.
   ShardOutbox outbox(7);
-  ShardInbox east(2);
-  ShardInbox west(1);
-  CrossShardEvent e;
-  e.kind = CrossShardEvent::Kind::kRemoteEnergy;
-  outbox.Send(e, east, 1);
-  outbox.Send(e, west, 0);
-  std::vector<CrossShardEvent> taken;
-  const auto take = [&taken](const CrossShardEvent& event) {
-    taken.push_back(event);
-  };
-  east.Drain(take);
-  west.Drain(take);
-  ASSERT_EQ(taken.size(), 2u);
-  EXPECT_EQ(taken[0].src_tile, 7);
-  EXPECT_EQ(taken[0].seq, 0u);
-  EXPECT_EQ(taken[1].src_tile, 7);
-  EXPECT_EQ(taken[1].seq, 1u);
-  // One stream across destinations and drains — seqs never repeat.
-  taken.clear();
-  outbox.Send(e, east, 0);
-  east.Drain(take);
-  ASSERT_EQ(taken.size(), 1u);
-  EXPECT_EQ(taken[0].seq, 2u);
+  const CrossShardEvent first = outbox.Log(100, 3, RemoteEnergy{});
+  const CrossShardEvent roam = outbox.Roam(100, 3, /*plan=*/4);
+  outbox.ClearLog();  // The tile's next round.
+  const CrossShardEvent next = outbox.Log(200, 3, RemoteEnergy{});
+  for (const CrossShardEvent& e : {first, roam, next}) {
+    EXPECT_EQ(e.src_tile, 7);
+    EXPECT_EQ(e.node, 3);
+  }
+  EXPECT_EQ(first.seq, 0u);
+  EXPECT_EQ(roam.seq, 1u);
+  EXPECT_EQ(next.seq, 2u);
+  EXPECT_EQ(first.kind, CrossShardEvent::Kind::kRemoteEnergy);
+  EXPECT_EQ(roam.kind, CrossShardEvent::Kind::kRoam);
+  EXPECT_EQ(roam.index, 4u);  // The plan, not a log entry.
+  // A cleared log restarts its indices; the seq stream never repeats.
+  EXPECT_EQ(first.index, 0u);
+  EXPECT_EQ(next.index, 0u);
+}
+
+TEST(BoundaryTest, EveryDestinationReadsOneLogEntryUnderOneSeq) {
+  ShardOutbox outbox(2);
+  outbox.Log(50, 8, RemoteEnergy{});  // An earlier crossing transmission.
+  RemoteEnergy energy;
+  energy.is_ap = true;
+  energy.position = {5.0, 6.0};
+  energy.channel = Channel{12, ChannelWidth::kW10};
+  energy.frame.type = FrameType::kChirp;
+  energy.frame.src = 9;
+  energy.tx_power = 14.0;
+  energy.duration = 321;
+  const CrossShardEvent key = outbox.Log(60, 9, energy);
+  // The transmission crosses three seams: each destination gets the one
+  // key, in the sender slot it keeps for this source.
+  std::vector<ShardInbox> destinations(3, ShardInbox(2));
+  for (std::size_t d = 0; d < destinations.size(); ++d) {
+    destinations[d].Push(d % 2, key);
+  }
+  for (ShardInbox& inbox : destinations) {
+    std::vector<CrossShardEvent> taken;
+    inbox.Drain([&](const CrossShardEvent& e) { taken.push_back(e); });
+    ASSERT_EQ(taken.size(), 1u);
+    EXPECT_EQ(taken[0].seq, 1u);
+    EXPECT_EQ(taken[0].index, 1u);
+    EXPECT_EQ(taken[0].time, 60);
+    // Every destination reads the same entry, not a copy of its own.
+    const RemoteEnergy& read = outbox.Logged(taken[0].index);
+    EXPECT_EQ(&read, &outbox.Logged(key.index));
+    EXPECT_TRUE(read.is_ap);
+    EXPECT_EQ(read.position.x, 5.0);
+    EXPECT_EQ(read.position.y, 6.0);
+    EXPECT_EQ(read.channel, energy.channel);
+    EXPECT_EQ(read.frame.type, FrameType::kChirp);
+    EXPECT_EQ(read.frame.src, 9);
+    EXPECT_EQ(read.tx_power, 14.0);
+    EXPECT_EQ(read.duration, 321);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -173,7 +212,6 @@ class GhostRadio : public RadioPort {
   int NodeId() const override { return id_; }
   Position Location() const override { return pos_; }
   const Channel& TunedChannel() const override { return channel_; }
-  bool RxEnabled() const override { return true; }
   bool IsAp() const override { return is_ap_; }
   void DeliverFrame(const Frame& frame, Dbm) override {
     delivered.push_back(frame);
@@ -249,6 +287,84 @@ TEST(GhostEnergyTest, LocalEnergyTapReportsExactPowerAndInterval) {
   EXPECT_EQ(std::get<1>(taps[0]), 100);
   EXPECT_EQ(std::get<2>(taps[0]), 350);
   EXPECT_EQ(std::get<3>(taps[0]), 1);
+}
+
+// ---------------------------------------------------------------------------
+// One audit book per world, per-node hooks to the owning cell.
+
+/// A two-cell world audited through one fanout: cell 0 holds AP 1, cell 1
+/// AP 2.  A mic on channel 5 switches on at 1 s.
+struct FanoutHarness {
+  static constexpr SimTime kBudget = 50 * kTicksPerMs;
+  static constexpr UhfIndex kMicChannel = 5;
+  static constexpr SimTime kMicOn = 1 * kTicksPerSec;
+  const Channel mic_channel{kMicChannel, ChannelWidth::kW5};
+
+  AuditFanout fanout;
+  std::unique_ptr<World> world;
+
+  FanoutHarness() {
+    AuditConfig config;
+    config.safety_budget = kBudget;
+    fanout.Add(config);
+    fanout.Add(config);
+    WorldConfig wc;
+    wc.obs.auditor = &fanout;
+    world = std::make_unique<World>(wc);
+    fanout.AttachAll(*world);
+    fanout.RegisterAp(0, 1);
+    fanout.RegisterAp(1, 2);
+    world->AddMic(MicActivation{kMicChannel, ToUs(kMicOn),
+                                ToUs(kMicOn) + 10.0 * kSecond});
+  }
+
+  const InvariantAuditor& cell(std::size_t c) const {
+    return *fanout.auditors()[c];
+  }
+};
+
+TEST(AuditFanoutTest, RoamedInClientViolationLandsOnlyInItsCell) {
+  FanoutHarness h;
+  // Client 7 roams into cell 1 at 0.5 s, tuned over the mic's channel,
+  // and keeps transmitting past the safety budget.  Its frames go through
+  // the medium, so the shared book matches the medium's books.
+  GhostRadio roamer(7, {0.0, 0.0}, h.mic_channel);
+  h.world->sim().Schedule(kTicksPerSec / 2, [&] {
+    h.fanout.OnNodeTuned(h.world->sim().Now(), 7, h.mic_channel);
+    h.fanout.RegisterClient(1, 7, ClientParams{});
+  });
+  h.world->sim().Schedule(
+      FanoutHarness::kMicOn + FanoutHarness::kBudget + 1, [&] {
+        Frame f;
+        f.src = 7;
+        f.bytes = 100;
+        h.world->medium().Transmit(&roamer, h.mic_channel, f, 16.0, 100,
+                                   [] {});
+      });
+  h.world->RunFor(2.0);
+  EXPECT_TRUE(h.cell(0).ok()) << h.cell(0).violations().front().ToString();
+  ASSERT_EQ(h.cell(1).violation_count(), 1u);
+  EXPECT_EQ(h.cell(1).violations()[0].invariant, "incumbent-safety");
+  EXPECT_EQ(h.cell(1).violations()[0].node, 7);
+  EXPECT_EQ(h.fanout.violation_count(), 1u);
+}
+
+TEST(AuditFanoutTest, PlantedBookMismatchTripsEveryCell) {
+  FanoutHarness h;
+  // A transmission the auditor hears but the medium never carried: the
+  // world's one union disagrees with the medium's books, and every
+  // cell's sweep reports it, as a lone auditor of the world would.
+  GhostRadio phantom(9, {0.0, 0.0}, Channel{20, ChannelWidth::kW5});
+  h.world->sim().Schedule(100 * kTicksPerMs, [&] {
+    h.fanout.OnTransmitStart(h.world->sim().Now(), phantom,
+                             phantom.TunedChannel(), 500);
+  });
+  h.world->RunFor(0.3);  // One sweep (250 ms) per cell.
+  for (std::size_t c = 0; c < 2; ++c) {
+    ASSERT_EQ(h.cell(c).violation_count(), 1u) << "cell " << c;
+    EXPECT_EQ(h.cell(c).violations()[0].invariant, "book-conservation");
+    EXPECT_EQ(h.cell(c).violations()[0].channel, 20);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 // Tests for the radio medium: exact-channel delivery, width dropping,
-// cross-width carrier sense, SINR collisions, airtime books, frame taps,
-// half-duplex behavior, ghost interference and record collection.
+// retuning, cross-width carrier sense, SINR collisions, airtime books,
+// frame taps, half-duplex behavior, ghost interference and record
+// collection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,7 +26,6 @@ class FakeRadio : public RadioPort {
   int NodeId() const override { return id_; }
   Position Location() const override { return pos_; }
   const Channel& TunedChannel() const override { return channel_; }
-  bool RxEnabled() const override { return rx_enabled; }
   bool IsAp() const override { return is_ap_; }
   void DeliverFrame(const Frame& frame, Dbm power) override {
     delivered.push_back(frame);
@@ -33,9 +33,13 @@ class FakeRadio : public RadioPort {
   }
   void MediumChanged() override { ++medium_changes; }
 
-  void Tune(const Channel& c) { channel_ = c; }
+  /// Retunes as a Device does: the medium's table follows, and the radio
+  /// hears nothing before `rx_enabled_at`.
+  void Tune(Medium& medium, const Channel& c, SimTime rx_enabled_at) {
+    channel_ = c;
+    medium.Retune(this, c, rx_enabled_at);
+  }
 
-  bool rx_enabled = true;
   std::vector<Frame> delivered;
   std::vector<Dbm> powers;
   int medium_changes = 0;
@@ -110,12 +114,40 @@ TEST_F(MediumTest, DropsDifferentCenterSameWidth) {
 TEST_F(MediumTest, NoDeliveryWhileRxDisabled) {
   const Channel ch{10, ChannelWidth::kW5};
   FakeRadio tx(1, {0, 0}, ch), rx(2, {50, 0}, ch);
-  rx.rx_enabled = false;  // PLL retuning.
   medium_.Register(&tx);
   medium_.Register(&rx);
+  rx.Tune(medium_, ch, /*rx_enabled_at=*/5000);  // PLL retuning.
   medium_.Transmit(&tx, ch, DataFrame(1, 2), 16.0, 200, nullptr);
   sim_.Run(1000);
   EXPECT_TRUE(rx.delivered.empty());
+}
+
+TEST_F(MediumTest, RetunedRadioHearsOnlyItsNewChannelOnceRxEnabled) {
+  const Channel old_ch{10, ChannelWidth::kW5};
+  const Channel new_ch{20, ChannelWidth::kW5};
+  FakeRadio on_old(1, {0, 0}, old_ch), on_new(2, {10, 0}, new_ch);
+  FakeRadio rx(3, {50, 0}, old_ch);
+  medium_.Register(&on_old);
+  medium_.Register(&on_new);
+  medium_.Register(&rx);
+  rx.Tune(medium_, new_ch, /*rx_enabled_at=*/300);
+  // Deaf until 300: a frame on the new channel over [0, 200] is neither
+  // announced nor delivered.
+  medium_.Transmit(&on_new, new_ch, DataFrame(2, 3), 16.0, 200, nullptr);
+  sim_.Run(250);
+  EXPECT_TRUE(rx.delivered.empty());
+  EXPECT_EQ(rx.medium_changes, 0);
+  // Then the old channel is silent to it and the new one delivers.
+  sim_.Schedule(400, [&] {
+    medium_.Transmit(&on_old, old_ch, DataFrame(1, 3), 16.0, 200, nullptr);
+  });
+  sim_.Schedule(700, [&] {
+    medium_.Transmit(&on_new, new_ch, DataFrame(2, 3), 16.0, 200, nullptr);
+  });
+  sim_.Run(1000);
+  ASSERT_EQ(rx.delivered.size(), 1u);
+  EXPECT_EQ(rx.delivered[0].src, 2);
+  EXPECT_EQ(rx.medium_changes, 2);  // The start and end at 700 and 900.
 }
 
 TEST_F(MediumTest, CarrierSenseAcrossOverlappingWidths) {

@@ -80,6 +80,19 @@ TEST(Channel, WidthProperties) {
   EXPECT_EQ(WidthLabel(ChannelWidth::kW10), "10MHz");
 }
 
+TEST(Channel, GeometryIsConstexprAndRejectsABadWidth) {
+  static_assert(SpanChannels(ChannelWidth::kW20) == 5);
+  static_assert(Channel{10, ChannelWidth::kW10}.Overlaps(
+      Channel{11, ChannelWidth::kW5}));
+  static_assert(!Channel{10, ChannelWidth::kW10}.Overlaps(
+      Channel{12, ChannelWidth::kW5}));
+  static_assert(!Channel{10, ChannelWidth::kW10}.Contains(12));
+  const auto bad = static_cast<ChannelWidth>(7);
+  EXPECT_THROW(WidthMHz(bad), std::logic_error);
+  EXPECT_THROW(HalfSpan(bad), std::logic_error);
+  EXPECT_THROW(SpanChannels(bad), std::logic_error);
+}
+
 TEST(Channel, PaperCounts30_28_26) {
   EXPECT_EQ(ChannelsOfWidth(ChannelWidth::kW5).size(), 30u);
   EXPECT_EQ(ChannelsOfWidth(ChannelWidth::kW10).size(), 28u);
