@@ -101,7 +101,7 @@ int Main(int jobs, const std::string& trace_jsonl) {
                "switches"});
   // Aggregate protocol metrics across every adaptive WhiteFi run (the OPT
   // baseline sweeps run unobserved).  Attaching the registry does not
-  // perturb the simulation, so the table matches an uninstrumented build.
+  // perturb the simulation, so the table matches an unobserved run.
   MetricsRegistry metrics;
   // Optional flight recorder over the same adaptive runs (protocol-level
   // kinds only).  The OPT sweeps run unobserved either way, so the trace

@@ -418,25 +418,4 @@ void ApNode::EndEpisode() {
   episode_name_.clear();
 }
 
-void ApNode::OnChannelSwitched(const Channel& channel) {
-  ScheduleMicCheck(channel);
-}
-
-void ApNode::ScheduleMicCheck(const Channel& channel) {
-  // A mic may already be active on a channel we just tuned to; the world's
-  // fast path only fires on mic-on transitions, so check explicitly.
-  for (UhfIndex c = channel.Low(); c <= channel.High(); ++c) {
-    if (world_.MicAudible(c, NodeId())) {
-      const UhfIndex mic = c;
-      world_.sim().ScheduleAfter(world_.config().incumbent_detect_latency,
-                                 [this, mic] {
-                                   if (world_.MicAudible(mic, NodeId()) &&
-                                       TunedChannel().Contains(mic)) {
-                                     OnIncumbentDetected(mic);
-                                   }
-                                 });
-    }
-  }
-}
-
 }  // namespace whitefi

@@ -80,7 +80,6 @@ class ApNode : public Device {
  protected:
   void OnFrameReceived(const Frame& frame, Dbm rx_power) override;
   void OnSendComplete(const Frame& frame, bool success) override;
-  void OnChannelSwitched(const Channel& channel) override;
 
  private:
   enum class State { kOperating, kCollecting, kRescuing };
@@ -110,7 +109,6 @@ class ApNode : public Device {
   void BeginEpisode(std::string name, std::int64_t flow);
   void EndEpisode();
   void UpdateSecondaryWatch();
-  void ScheduleMicCheck(const Channel& channel);
   double RecentThroughputBps(SimTime window) const;
 
   ApParams params_;

@@ -317,21 +317,4 @@ void ClientNode::SelectSecondaryBackup() {
   }
 }
 
-void ClientNode::OnChannelSwitched(const Channel& channel) {
-  // A mic may already be active here (the world fast path only fires on
-  // transitions).
-  for (UhfIndex c = channel.Low(); c <= channel.High(); ++c) {
-    if (world_.MicAudible(c, NodeId())) {
-      const UhfIndex mic = c;
-      world_.sim().ScheduleAfter(world_.config().incumbent_detect_latency,
-                                 [this, mic] {
-                                   if (world_.MicAudible(mic, NodeId()) &&
-                                       TunedChannel().Contains(mic)) {
-                                     OnIncumbentDetected(mic);
-                                   }
-                                 });
-    }
-  }
-}
-
 }  // namespace whitefi

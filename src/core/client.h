@@ -76,7 +76,6 @@ class ClientNode : public Device {
 
  protected:
   void OnFrameReceived(const Frame& frame, Dbm rx_power) override;
-  void OnChannelSwitched(const Channel& channel) override;
 
  private:
   void CheckContact();

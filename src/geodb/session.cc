@@ -287,11 +287,11 @@ void GeoDbSession::ApplyToDevice() {
 }
 
 void GeoDbSession::EnforceTick() {
-  // The vacate re-checks in core/ consult World::MicAudible, which a
-  // geo-only protection never satisfies, so a single OnIncumbentDetected
-  // can legitimately be swallowed (e.g. the AP defers past an announce and
-  // then re-checks the mic).  Re-assert until the device actually moves
-  // off the respected channel.
+  // The AP's deferred-vacate re-check and World::SenseOnTune consult
+  // World::MicAudible, which a geo-only protection never satisfies, so a
+  // single OnIncumbentDetected can legitimately be swallowed (e.g. the AP
+  // defers past an announce and then re-checks the mic).  Re-assert until
+  // the device actually moves off the respected channel.
   const Channel& tuned = device_.TunedChannel();
   for (UhfIndex c = tuned.Low(); c <= tuned.High(); ++c) {
     if (respected_.Occupied(c)) {

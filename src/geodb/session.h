@@ -31,10 +31,10 @@
 // The respected map rides the device's tv_map slot (base scenario map
 // union the respected set) and newly protected in-channel indices trigger
 // OnIncumbentDetected.  Because the AP's busy-path vacate re-check and
-// the client's switch re-check consult World::MicAudible — false for
-// geo-only protections — a one-shot trigger can be legitimately dropped;
-// the session therefore re-asserts every `enforce_interval` while a
-// respected channel overlaps the tuned channel.
+// the world's sensing on a settled retune (World::SenseOnTune) consult
+// World::MicAudible — false for geo-only protections — a one-shot trigger
+// can be legitimately dropped; the session therefore re-asserts every
+// `enforce_interval` while a respected channel overlaps the tuned channel.
 #pragma once
 
 #include <cstdint>

@@ -8,9 +8,9 @@
 // Hot-path discipline: instrumented components resolve their handles ONCE
 // (at wiring time) and then increment through a raw pointer; a null
 // registry yields null handles and the per-event cost is a single branch.
-// The WHITEFI_METRIC_* macros wrap that branch and compile to nothing when
-// WHITEFI_DISABLE_METRICS is defined.  Everything is single-threaded like
-// the simulator itself; Counter::Add is a bare integer increment.
+// The WHITEFI_METRIC_* macros wrap that branch.  Everything is
+// single-threaded like the simulator itself; Counter::Add is a bare
+// integer increment.
 //
 // Snapshots export as an aligned text table, CSV (via util/report) or a
 // small JSON object, so benches can drop machine-readable metrics next to
@@ -138,23 +138,12 @@ class MetricsRegistry {
 
 }  // namespace whitefi
 
-// Null-safe handle macros for instrumentation sites.  Define
-// WHITEFI_DISABLE_METRICS to compile all instrumentation out.
-#if defined(WHITEFI_DISABLE_METRICS)
-#define WHITEFI_METRIC_COUNT(counter, n) ((void)0)
-#define WHITEFI_METRIC_SET(gauge, v) ((void)0)
-#define WHITEFI_METRIC_OBSERVE(histogram, v) ((void)0)
-#else
+// Null-safe handle macros for instrumentation sites.
 #define WHITEFI_METRIC_COUNT(counter, n) \
   do {                                   \
     if ((counter) != nullptr) (counter)->Add(n); \
-  } while (0)
-#define WHITEFI_METRIC_SET(gauge, v) \
-  do {                               \
-    if ((gauge) != nullptr) (gauge)->Set(v); \
   } while (0)
 #define WHITEFI_METRIC_OBSERVE(histogram, v) \
   do {                                       \
     if ((histogram) != nullptr) (histogram)->Observe(v); \
   } while (0)
-#endif

@@ -257,43 +257,15 @@ void Mac::AckTimeout(std::uint64_t epoch) {
     const Frame& frame = queue_.front();
     WHITEFI_METRIC_COUNT(
         drop_counters_[static_cast<std::size_t>(frame.type)], 1);
-    if (trace_ != nullptr) {
-      if (trace_->Wants(TraceEventKind::kFrameDrop)) {
-        TraceEvent event;
-        event.at_us = sim_.Now();
-        event.kind = TraceEventKind::kFrameDrop;
-        event.node = radio_.NodeId();
-        event.src = frame.src;
-        event.dst = frame.dst;
-        event.bytes = frame.bytes;
-        event.frame_type = FrameTypeName(frame.type);
-        event.detail = "retry_limit";
-        trace_->Append(std::move(event));
-      } else {
-        trace_->CountSkipped(TraceEventKind::kFrameDrop);
-      }
-    }
+    TraceFrame(trace_, sim_.Now(), TraceEventKind::kFrameDrop,
+               radio_.NodeId(), frame, [] { return "retry_limit"; });
     CompleteHead(false);
     return;
   }
   WHITEFI_METRIC_COUNT(retries_counter_, 1);
-  if (trace_ != nullptr) {
-    if (trace_->Wants(TraceEventKind::kMacRetry)) {
-      const Frame& frame = queue_.front();
-      TraceEvent event;
-      event.at_us = sim_.Now();
-      event.kind = TraceEventKind::kMacRetry;
-      event.node = radio_.NodeId();
-      event.src = frame.src;
-      event.dst = frame.dst;
-      event.bytes = frame.bytes;
-      event.frame_type = FrameTypeName(frame.type);
-      event.detail = "attempt=" + std::to_string(attempts_);
-      trace_->Append(std::move(event));
-    } else {
-      trace_->CountSkipped(TraceEventKind::kMacRetry);
-    }
-  }
+  TraceFrame(trace_, sim_.Now(), TraceEventKind::kMacRetry, radio_.NodeId(),
+             queue_.front(),
+             [this] { return "attempt=" + std::to_string(attempts_); });
   cw_ = std::min(cw_ * 2 + 1, params_.cw_max);
   state_ = State::kIdle;
   TryStart();

@@ -21,6 +21,20 @@ const char* FrameTypeName(FrameType type) {
   return "?";
 }
 
+TraceEvent FrameEvent(SimTime at, TraceEventKind kind, int node,
+                      const Frame& frame, std::string detail) {
+  TraceEvent event;
+  event.at_us = at;
+  event.kind = kind;
+  event.node = node;
+  event.src = frame.src;
+  event.dst = frame.dst;
+  event.bytes = frame.bytes;
+  event.frame_type = FrameTypeName(frame.type);
+  event.detail = std::move(detail);
+  return event;
+}
+
 std::string Frame::ToString() const {
   std::ostringstream os;
   os << FrameTypeName(type) << "(" << src << "->";
@@ -102,21 +116,9 @@ void Medium::StartTransmission(RadioPort* tx, const Channel& channel,
   } else {
     WHITEFI_METRIC_COUNT(tx_counters_[type_index], 1);
   }
-  if (!foreign && obs_.trace != nullptr) {
-    if (obs_.trace->Wants(TraceEventKind::kFrameTx)) {
-      TraceEvent event;
-      event.at_us = sim_.Now();
-      event.kind = TraceEventKind::kFrameTx;
-      event.node = tx->NodeId();
-      event.src = frame.src;
-      event.dst = frame.dst;
-      event.bytes = frame.bytes;
-      event.frame_type = FrameTypeName(frame.type);
-      event.detail = channel.ToString();
-      obs_.trace->Append(std::move(event));
-    } else {
-      obs_.trace->CountSkipped(TraceEventKind::kFrameTx);
-    }
+  if (!foreign) {
+    TraceFrame(obs_.trace, sim_.Now(), TraceEventKind::kFrameTx, tx->NodeId(),
+               frame, [&] { return channel.ToString(); });
   }
   ActiveTx& record = records_.emplace_back(
       ActiveTx{id, tx, channel, frame, tx_power, sim_.Now(),
@@ -310,22 +312,8 @@ void Medium::ResolveReceptions(const ActiveTx& tx) {
     const auto type_index = static_cast<std::size_t>(tx.frame.type);
     if (signal_mw / (noise_mw + interference_mw) < min_sinr) {
       WHITEFI_METRIC_COUNT(drop_counters_[type_index], 1);
-      if (obs_.trace != nullptr) {
-        if (obs_.trace->Wants(TraceEventKind::kFrameDrop)) {
-          TraceEvent event;
-          event.at_us = sim_.Now();
-          event.kind = TraceEventKind::kFrameDrop;
-          event.node = rx->NodeId();
-          event.src = tx.frame.src;
-          event.dst = tx.frame.dst;
-          event.bytes = tx.frame.bytes;
-          event.frame_type = FrameTypeName(tx.frame.type);
-          event.detail = "sinr";
-          obs_.trace->Append(std::move(event));
-        } else {
-          obs_.trace->CountSkipped(TraceEventKind::kFrameDrop);
-        }
-      }
+      TraceFrame(obs_.trace, sim_.Now(), TraceEventKind::kFrameDrop,
+                 rx->NodeId(), tx.frame, [] { return "sinr"; });
       continue;
     }
     // Fault injection: frames that survive physics can still be lost to
@@ -335,41 +323,14 @@ void Medium::ResolveReceptions(const ActiveTx& tx) {
           faults_->FrameFault(sim_.Now(), tx.frame.type, rx->NodeId());
       if (reason != nullptr) {
         WHITEFI_METRIC_COUNT(drop_counters_[type_index], 1);
-        if (obs_.trace != nullptr) {
-          if (obs_.trace->Wants(TraceEventKind::kFrameDrop)) {
-            TraceEvent event;
-            event.at_us = sim_.Now();
-            event.kind = TraceEventKind::kFrameDrop;
-            event.node = rx->NodeId();
-            event.src = tx.frame.src;
-            event.dst = tx.frame.dst;
-            event.bytes = tx.frame.bytes;
-            event.frame_type = FrameTypeName(tx.frame.type);
-            event.detail = reason;
-            obs_.trace->Append(std::move(event));
-          } else {
-            obs_.trace->CountSkipped(TraceEventKind::kFrameDrop);
-          }
-        }
+        TraceFrame(obs_.trace, sim_.Now(), TraceEventKind::kFrameDrop,
+                   rx->NodeId(), tx.frame, [reason] { return reason; });
         continue;
       }
     }
     WHITEFI_METRIC_COUNT(rx_counters_[type_index], 1);
-    if (obs_.trace != nullptr) {
-      if (obs_.trace->Wants(TraceEventKind::kFrameRx)) {
-        TraceEvent event;
-        event.at_us = sim_.Now();
-        event.kind = TraceEventKind::kFrameRx;
-        event.node = rx->NodeId();
-        event.src = tx.frame.src;
-        event.dst = tx.frame.dst;
-        event.bytes = tx.frame.bytes;
-        event.frame_type = FrameTypeName(tx.frame.type);
-        obs_.trace->Append(std::move(event));
-      } else {
-        obs_.trace->CountSkipped(TraceEventKind::kFrameRx);
-      }
-    }
+    TraceFrame(obs_.trace, sim_.Now(), TraceEventKind::kFrameRx, rx->NodeId(),
+               tx.frame, [] { return ""; });
     rx->DeliverFrame(tx.frame, rx_power);
   }
 }

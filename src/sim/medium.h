@@ -71,6 +71,25 @@ struct MediumParams {
 /// listener's band: spanned-UHF-channel overlap over the transmitter span.
 double InBandPowerFraction(const Channel& tx, const Channel& listener);
 
+/// A frame-shaped trace record: the acting `node` and the frame's src,
+/// dst, bytes and type.
+TraceEvent FrameEvent(SimTime at, TraceEventKind kind, int node,
+                      const Frame& frame, std::string detail);
+
+/// Appends FrameEvent(..., detail()) to `trace`.  An untraced run (null
+/// `trace`) pays one branch; a kind the trace filters out is only
+/// counted, and `detail` is called only for a kind it wants.
+template <typename Detail>
+void TraceFrame(EventTrace* trace, SimTime at, TraceEventKind kind, int node,
+                const Frame& frame, Detail detail) {
+  if (trace == nullptr) return;
+  if (!trace->Wants(kind)) {
+    trace->CountSkipped(kind);
+    return;
+  }
+  trace->Append(FrameEvent(at, kind, node, frame, detail()));
+}
+
 /// Medium-facing view of one radio.  Registered by devices.
 class RadioPort {
  public:

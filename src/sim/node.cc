@@ -50,7 +50,7 @@ void Device::MacSendComplete(const Frame& frame, bool success) {
 void Device::SwitchChannel(const Channel& channel) {
   if (channel == channel_ && RxEnabled()) return;
   MetricsRegistry::Count(world_.metrics(), "whitefi.node.channel_switches");
-  {
+  if (world_.trace() != nullptr) {
     TraceEvent event;
     event.kind = TraceEventKind::kChannelSwitch;
     event.node = id_;
@@ -69,7 +69,7 @@ void Device::SwitchChannel(const Channel& channel) {
   world_.sim().Schedule(rx_enabled_at_, [this, generation, channel] {
     // Only fire if no further switch superseded this one.
     if (rx_enabled_at_ == generation && channel_ == channel) {
-      OnChannelSwitched(channel_);
+      world_.SenseOnTune(*this);
     }
   });
 }
@@ -79,7 +79,8 @@ void Device::OnIncumbentDetected(UhfIndex channel) {
     // Fresh detection: record how long the incumbent had been on air
     // before this node reacted (microsecond ticks).
     MetricsRegistry::Count(world_.metrics(), "whitefi.sift.detections");
-    if (const auto since = world_.MicOnSince(channel); since.has_value()) {
+    if (const auto since = world_.MicAudibleOnSince(channel, id_);
+        since.has_value()) {
       MetricsRegistry::Observe(world_.metrics(),
                                "whitefi.sift.detect_latency_us",
                                static_cast<double>(*since));
@@ -118,6 +119,5 @@ void Device::AddReceiveHook(std::function<void(const Frame&)> hook) {
 
 void Device::OnFrameReceived(const Frame&, Dbm) {}
 void Device::OnSendComplete(const Frame&, bool) {}
-void Device::OnChannelSwitched(const Channel&) {}
 
 }  // namespace whitefi

@@ -60,7 +60,8 @@ class Device : public RadioPort, public MacCallbacks {
   bool RxEnabled() const;
 
   /// Retunes the main radio: aborts the MAC, drops its queue, and disables
-  /// reception for the configured tune delay.
+  /// reception for the configured tune delay.  Once the radio settles, the
+  /// world senses the new channel for live mics (World::SenseOnTune).
   void SwitchChannel(const Channel& channel);
 
   /// Called once after construction to start protocol behavior.
@@ -107,9 +108,6 @@ class Device : public RadioPort, public MacCallbacks {
 
   /// A queued frame finished (delivered or dropped).
   virtual void OnSendComplete(const Frame& frame, bool success);
-
-  /// The radio finished retuning to a new channel.
-  virtual void OnChannelSwitched(const Channel& channel);
 
   World& world_;
 

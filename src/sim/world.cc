@@ -110,34 +110,50 @@ void World::TraceSpanEnd(int node, std::int64_t id, std::int64_t flow,
   TraceEventNow(std::move(event));
 }
 
-std::int64_t World::MicFlowId(UhfIndex c, int node_id) const {
-  const SimTime now = sim_.Now();
-  std::int64_t flow = 0;
-  SimTime latest = 0;
-  for (const WorldMic& m : mics_) {
-    if (m.mic.channel != c || !m.ActiveAtTick(now)) continue;
-    if (!m.audible_to.empty() &&
-        std::find(m.audible_to.begin(), m.audible_to.end(), node_id) ==
-            m.audible_to.end()) {
-      continue;
-    }
-    if (flow == 0 || m.on_ticks > latest) {
-      flow = m.flow;
-      latest = m.on_ticks;
-    }
-  }
-  return flow;
+bool World::WorldMic::AudibleTo(int node_id) const {
+  return audible_to.empty() ||
+         std::find(audible_to.begin(), audible_to.end(), node_id) !=
+             audible_to.end();
 }
 
-std::optional<SimTime> World::MicOnSince(UhfIndex c) const {
+const World::WorldMic* World::LatestActiveMic(
+    UhfIndex c, std::optional<int> listener) const {
   const SimTime now = sim_.Now();
-  std::optional<SimTime> latest;
+  const WorldMic* latest = nullptr;
   for (const WorldMic& m : mics_) {
     if (m.mic.channel != c || !m.ActiveAtTick(now)) continue;
-    if (!latest.has_value() || m.on_ticks > *latest) latest = m.on_ticks;
+    if (listener.has_value() && !m.AudibleTo(*listener)) continue;
+    if (latest == nullptr || m.on_ticks > latest->on_ticks) latest = &m;
   }
-  if (!latest.has_value()) return std::nullopt;
-  return now - *latest;
+  return latest;
+}
+
+std::int64_t World::MicFlowId(UhfIndex c, int node_id) const {
+  const WorldMic* mic = LatestActiveMic(c, node_id);
+  return mic != nullptr ? mic->flow : 0;
+}
+
+bool World::MicActiveNow(UhfIndex c) const {
+  return LatestActiveMic(c, std::nullopt) != nullptr;
+}
+
+bool World::MicAudible(UhfIndex c, int node_id) const {
+  return LatestActiveMic(c, node_id) != nullptr;
+}
+
+std::optional<SimTime> World::MicAudibleOnSince(UhfIndex c,
+                                                int node_id) const {
+  const WorldMic* mic = LatestActiveMic(c, node_id);
+  if (mic == nullptr) return std::nullopt;
+  return sim_.Now() - mic->on_ticks;
+}
+
+void World::ScheduleDetection(Device& device, UhfIndex c) {
+  sim_.ScheduleAfter(config_.incumbent_detect_latency, [this, &device, c] {
+    if (MicAudible(c, device.NodeId()) && device.TunedChannel().Contains(c)) {
+      device.OnIncumbentDetected(c);
+    }
+  });
 }
 
 void World::ApplyMicTransition(const WorldMic& mic, bool on) {
@@ -149,64 +165,20 @@ void World::ApplyMicTransition(const WorldMic& mic, bool on) {
     TraceEventNow(std::move(event));
   }
   if (!on) return;
-  // Fast sensing path: nodes whose operating channel covers the mic (and
-  // who can hear it) detect it after the configured latency.  Audibility
-  // is re-checked at fire time, not here: the mic is active from this
-  // instant by construction.
+  // The mic-on edge: every device tuned over the mic that can hear it.
   for (const auto& device : devices_) {
-    if (!device->TunedChannel().Contains(mic.mic.channel)) continue;
-    Device* dev = device.get();
-    if (!mic.audible_to.empty() &&
-        std::find(mic.audible_to.begin(), mic.audible_to.end(),
-                  dev->NodeId()) == mic.audible_to.end()) {
-      continue;
+    if (device->TunedChannel().Contains(mic.mic.channel) &&
+        mic.AudibleTo(device->NodeId())) {
+      ScheduleDetection(*device, mic.mic.channel);
     }
-    const UhfIndex channel = mic.mic.channel;
-    sim_.ScheduleAfter(config_.incumbent_detect_latency, [this, dev, channel] {
-      if (MicAudible(channel, dev->NodeId()) &&
-          dev->TunedChannel().Contains(channel)) {
-        dev->OnIncumbentDetected(channel);
-      }
-    });
   }
 }
 
-bool World::MicActiveNow(UhfIndex c) const {
-  const SimTime now = sim_.Now();
-  for (const WorldMic& m : mics_) {
-    if (m.mic.channel == c && m.ActiveAtTick(now)) return true;
+void World::SenseOnTune(Device& device) {
+  const Channel& tuned = device.TunedChannel();
+  for (UhfIndex c = tuned.Low(); c <= tuned.High(); ++c) {
+    if (MicAudible(c, device.NodeId())) ScheduleDetection(device, c);
   }
-  return false;
-}
-
-bool World::MicAudible(UhfIndex c, int node_id) const {
-  const SimTime now = sim_.Now();
-  for (const WorldMic& m : mics_) {
-    if (m.mic.channel != c || !m.ActiveAtTick(now)) continue;
-    if (m.audible_to.empty()) return true;
-    if (std::find(m.audible_to.begin(), m.audible_to.end(), node_id) !=
-        m.audible_to.end()) {
-      return true;
-    }
-  }
-  return false;
-}
-
-std::optional<SimTime> World::MicAudibleOnSince(UhfIndex c,
-                                                int node_id) const {
-  const SimTime now = sim_.Now();
-  std::optional<SimTime> latest;
-  for (const WorldMic& m : mics_) {
-    if (m.mic.channel != c || !m.ActiveAtTick(now)) continue;
-    if (!m.audible_to.empty() &&
-        std::find(m.audible_to.begin(), m.audible_to.end(), node_id) ==
-            m.audible_to.end()) {
-      continue;
-    }
-    if (!latest.has_value() || m.on_ticks > *latest) latest = m.on_ticks;
-  }
-  if (!latest.has_value()) return std::nullopt;
-  return now - *latest;
 }
 
 void World::RecordAppBytes(int dst, int bytes) {

@@ -95,11 +95,6 @@ class World {
   void TraceSpanEnd(int node, std::int64_t id, std::int64_t flow,
                     std::string_view name);
 
-  /// Ticks since the most recent active mic on channel `c` switched on;
-  /// nullopt when none is active.  Feeds the incumbent reaction-latency
-  /// histogram.
-  std::optional<SimTime> MicOnSince(UhfIndex c) const;
-
   /// Independent RNG stream for a component.
   Rng NewRng() { return rng_.Fork(); }
 
@@ -129,8 +124,8 @@ class World {
   void StartAll();
 
   /// Installs the mic schedule: each activation flips occupancy at its
-  /// on/off times and triggers fast-path incumbent detection at devices
-  /// whose operating channel covers the mic channel.
+  /// on/off times and, on its on edge, schedules a detection at every
+  /// device tuned over the mic channel that can hear it.
   void SetMicSchedule(std::vector<MicActivation> mics);
 
   /// Adds one mic audible only to the given node ids (empty = everyone).
@@ -146,10 +141,16 @@ class World {
   bool MicAudible(UhfIndex c, int node_id) const;
 
   /// Ticks since the most recent active mic on `c` audible to `node_id`
-  /// switched on; nullopt when none.  The audibility-filtered MicOnSince,
-  /// used by the incumbent-safety audit: a mic a node physically cannot
-  /// sense (spatial variation) must not count against that node.
+  /// switched on; nullopt when none.  Feeds the detection-latency
+  /// histogram and the incumbent-safety audit: a mic a node physically
+  /// cannot sense (spatial variation) must not count against that node.
   std::optional<SimTime> MicAudibleOnSince(UhfIndex c, int node_id) const;
+
+  /// Fast sensing after a settled retune: schedules a detection at
+  /// `device` for each channel under its tuning where it hears an active
+  /// mic.  The mic-on edge tells the devices already tuned there;
+  /// `Device::SwitchChannel` calls this once the radio settles.
+  void SenseOnTune(Device& device);
 
   // -- Application throughput accounting ----------------------------------
 
@@ -180,7 +181,19 @@ class World {
     std::int64_t flow = 0;
 
     bool ActiveAtTick(SimTime t) const { return t >= on_ticks && t < off_ticks; }
+    bool AudibleTo(int node_id) const;
   };
+
+  /// The active mic on `c` that switched on last (the first added among
+  /// equal on-times), among the mics `listener` can hear, or among all
+  /// mics when `listener` is nullopt; null when there is none.  Every mic
+  /// query is this one scan.
+  const WorldMic* LatestActiveMic(UhfIndex c,
+                                  std::optional<int> listener) const;
+
+  /// After `incumbent_detect_latency`, tells `device` of the mic on `c` if
+  /// it still hears one there and is still tuned over `c`.
+  void ScheduleDetection(Device& device, UhfIndex c);
 
   void ApplyMicTransition(const WorldMic& mic, bool on);
 

@@ -139,10 +139,8 @@ TEST(MetricsRegistry, JsonExportsHistogramBucketsAlongsideQuantiles) {
 
 TEST(MetricMacros, NullHandleIsANoOp) {
   Counter* counter = nullptr;
-  Gauge* gauge = nullptr;
   Histogram* histogram = nullptr;
   WHITEFI_METRIC_COUNT(counter, 1);
-  WHITEFI_METRIC_SET(gauge, 1.0);
   WHITEFI_METRIC_OBSERVE(histogram, 1.0);
 
   MetricsRegistry registry;

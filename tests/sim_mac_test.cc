@@ -1,7 +1,9 @@
 // Tests for the CSMA/CA MAC and its fairness, traffic sources, scanner,
-// and world plumbing.
+// and world plumbing, incumbent sensing included.
 #include <gtest/gtest.h>
 
+#include "core/ap.h"
+#include "core/client.h"
 #include "sim/scanner.h"
 #include "sim/traffic.h"
 #include "sim/world.h"
@@ -19,6 +21,19 @@ DeviceConfig At(double x, double y, Channel ch, int ssid = 1,
   c.is_ap = is_ap;
   return c;
 }
+
+// A device of role `Base` that records when and of which channel the
+// world tells it of an incumbent.
+template <typename Base>
+class Told : public Base {
+ public:
+  using Base::Base;
+  void OnIncumbentDetected(UhfIndex channel) override {
+    told.emplace_back(this->world().sim().Now(), channel);
+    Base::OnIncumbentDetected(channel);
+  }
+  std::vector<std::pair<SimTime, UhfIndex>> told;
+};
 
 Frame Data(int dst, int payload = 1000) {
   Frame f;
@@ -307,6 +322,149 @@ TEST(World, MicFastPathNotifiesAffectedDevicesOnly) {
   EXPECT_TRUE(on_channel.ObservedMap().Occupied(7));
   EXPECT_TRUE(wide.ObservedMap().Occupied(7));  // Spans 7..9.
   EXPECT_FALSE(elsewhere.ObservedMap().Occupied(7));
+}
+
+TEST(World, MicOnEdgeTellsATunedDeviceOnce) {
+  World world;
+  auto& narrow =
+      world.Create<Told<Device>>(At(0, 0, Channel{7, ChannelWidth::kW5}));
+  auto& wide =
+      world.Create<Told<Device>>(At(1, 0, Channel{8, ChannelWidth::kW10}));
+  auto& elsewhere =
+      world.Create<Told<Device>>(At(2, 0, Channel{20, ChannelWidth::kW5}));
+  world.SetMicSchedule({{7, 0.5 * kSecond, 10.0 * kSecond}});
+  world.RunFor(2.0);
+  const std::vector<std::pair<SimTime, UhfIndex>> once{
+      {kTicksPerSec / 2 + world.config().incumbent_detect_latency, 7}};
+  EXPECT_EQ(narrow.told, once);
+  EXPECT_EQ(wide.told, once);  // Spans 7..9.
+  EXPECT_TRUE(elsewhere.told.empty());
+}
+
+TEST(World, RetuneOntoALiveMicIsSensedByEveryRole) {
+  World world;
+  const Channel away{20, ChannelWidth::kW5};
+  const Channel backup{25, ChannelWidth::kW5};
+  auto& plain = world.Create<Told<Device>>(At(0, 0, away));
+  auto& ap = world.Create<Told<ApNode>>(At(1, 0, away), ApParams{}, away,
+                                        backup);
+  auto& client = world.Create<Told<ClientNode>>(
+      At(2, 0, away), ClientParams{}, away, backup, ap.NodeId());
+  world.SetMicSchedule({{7, 0.5 * kSecond, 10.0 * kSecond}});
+  world.RunFor(1.0);
+  const Channel mic_channel{7, ChannelWidth::kW5};
+  plain.SwitchChannel(mic_channel);
+  ap.SwitchChannel(mic_channel);
+  client.SwitchChannel(mic_channel);
+  world.RunFor(1.0);
+  const std::vector<std::pair<SimTime, UhfIndex>> once{
+      {kTicksPerSec + DeviceConfig{}.tune_delay +
+           world.config().incumbent_detect_latency,
+       7}};
+  EXPECT_EQ(plain.told, once);
+  EXPECT_EQ(ap.told, once);
+  EXPECT_EQ(client.told, once);
+}
+
+TEST(World, AMicTheNodeCannotHearIsNeverSensed) {
+  World world;
+  const Channel mic_channel{7, ChannelWidth::kW5};
+  const Channel away{20, ChannelWidth::kW5};
+  const Channel backup{25, ChannelWidth::kW5};
+  auto& tuned = world.Create<Told<Device>>(At(0, 0, mic_channel));
+  auto& retuned = world.Create<Told<ClientNode>>(
+      At(1, 0, away), ClientParams{}, away, backup, /*ap_id=*/0);
+  auto& hearer = world.Create<Told<ClientNode>>(
+      At(2, 0, away), ClientParams{}, away, backup, /*ap_id=*/0);
+  world.AddMic({7, 0.5 * kSecond, 10.0 * kSecond}, {hearer.NodeId()});
+  world.RunFor(1.0);
+  retuned.SwitchChannel(mic_channel);
+  hearer.SwitchChannel(mic_channel);
+  world.RunFor(1.0);
+  EXPECT_TRUE(tuned.told.empty());
+  EXPECT_TRUE(retuned.told.empty());
+  EXPECT_EQ(hearer.told.size(), 1u);
+}
+
+TEST(World, RetuningAwayBeforeTheLatencyCancelsTheDetection) {
+  World world;
+  const Channel mic_channel{7, ChannelWidth::kW5};
+  const Channel away{20, ChannelWidth::kW5};
+  auto& edge = world.Create<Told<Device>>(At(0, 0, mic_channel));
+  auto& retune = world.Create<Told<ClientNode>>(
+      At(1, 0, away), ClientParams{}, away, Channel{25, ChannelWidth::kW5},
+      /*ap_id=*/0);
+  world.SetMicSchedule({{7, 0.5 * kSecond, 10.0 * kSecond}});
+  world.RunFor(0.55);  // The edge's detection is due at 0.6 s.
+  edge.SwitchChannel(away);
+  retune.SwitchChannel(mic_channel);  // Settles at 0.555 s.
+  world.RunFor(0.05);  // Its detection is due at 0.655 s.
+  retune.SwitchChannel(away);
+  world.RunFor(1.0);
+  EXPECT_TRUE(edge.told.empty());
+  EXPECT_TRUE(retune.told.empty());
+}
+
+TEST(World, MicLookupsTakeTheLatestMicTheNodeCanHear) {
+  EventTrace trace;
+  WorldConfig config;
+  config.obs.trace = &trace;
+  World world(config);
+  const Channel away{20, ChannelWidth::kW5};
+  Device& a = world.Create<Device>(At(0, 0, away));
+  Device& b = world.Create<Device>(At(1, 0, away));
+  // Channel 7: an earlier mic everyone hears, a later one only b hears.
+  world.AddMic({7, 1.0 * kSecond, 10.0 * kSecond});
+  world.AddMic({7, 2.0 * kSecond, 10.0 * kSecond}, {b.NodeId()});
+  // Channel 9: two mics switching on together.
+  world.AddMic({9, 1.0 * kSecond, 10.0 * kSecond});
+  world.AddMic({9, 1.0 * kSecond, 10.0 * kSecond});
+  // Channel 11: a mic only b hears.
+  world.AddMic({11, 1.0 * kSecond, 10.0 * kSecond}, {b.NodeId()});
+  world.RunFor(3.0);
+  std::map<std::string, std::vector<std::int64_t>> flows;  // By mic channel.
+  for (const TraceEvent& event : trace.events()) {
+    if (event.kind == TraceEventKind::kIncumbentOn) {
+      flows[event.detail].push_back(event.flow_id);
+    }
+  }
+  ASSERT_EQ(flows["mic ch7"].size(), 2u);
+  ASSERT_EQ(flows["mic ch9"].size(), 2u);
+
+  EXPECT_EQ(world.MicFlowId(7, a.NodeId()), flows["mic ch7"][0]);
+  EXPECT_EQ(world.MicFlowId(7, b.NodeId()), flows["mic ch7"][1]);
+  EXPECT_EQ(world.MicAudibleOnSince(7, a.NodeId()), 2 * kTicksPerSec);
+  EXPECT_EQ(world.MicAudibleOnSince(7, b.NodeId()), 1 * kTicksPerSec);
+
+  EXPECT_EQ(world.MicFlowId(9, a.NodeId()), flows["mic ch9"][0]);
+  EXPECT_EQ(world.MicFlowId(9, b.NodeId()), flows["mic ch9"][0]);
+
+  EXPECT_TRUE(world.MicActiveNow(11));
+  EXPECT_FALSE(world.MicAudible(11, a.NodeId()));
+  EXPECT_TRUE(world.MicAudible(11, b.NodeId()));
+  EXPECT_EQ(world.MicFlowId(11, a.NodeId()), 0);
+  EXPECT_EQ(world.MicAudibleOnSince(11, a.NodeId()), std::nullopt);
+}
+
+TEST(World, DetectLatencyTimesTheMicTheNodeCanHear) {
+  MetricsRegistry metrics;
+  WorldConfig config;
+  config.obs.metrics = &metrics;
+  World world(config);
+  Device& node = world.Create<Device>(At(0, 0, Channel{7, ChannelWidth::kW5}));
+  Device& other =
+      world.Create<Device>(At(1, 0, Channel{20, ChannelWidth::kW5}));
+  // A switches on at 1 s and everyone hears it; B switches on at 1.05 s,
+  // before the node's detection of A is due, and only `other` hears it.
+  world.AddMic({7, 1.0 * kSecond, 10.0 * kSecond});
+  world.AddMic({7, 1.0 * kSecond + 50 * kMillisecond, 10.0 * kSecond},
+               {other.NodeId()});
+  world.RunFor(2.0);
+  EXPECT_TRUE(node.ObservedMap().Occupied(7));
+  const ExpHistogram& latency =
+      metrics.GetHistogram("whitefi.sift.detect_latency_us").distribution();
+  ASSERT_EQ(latency.Count(), 1u);
+  EXPECT_EQ(latency.Min(), ToUs(world.config().incumbent_detect_latency));
 }
 
 TEST(World, AppByteAccountingAndReset) {
