@@ -165,5 +165,6 @@ int Main(int jobs) {
 }  // namespace whitefi::bench
 
 int main(int argc, char** argv) {
+  whitefi::bench::CheckSiftKernelEnvironment();
   return whitefi::bench::Main(whitefi::bench::JobsFromArgs(argc, argv));
 }

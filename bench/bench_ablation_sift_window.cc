@@ -9,6 +9,7 @@
 // the data/ACK pattern entirely.
 #include <iostream>
 
+#include "flags.h"
 #include "sift_experiment.h"
 #include "sift/detector.h"
 #include "sift/matcher.h"
@@ -71,4 +72,7 @@ int Main() {
 }  // namespace
 }  // namespace whitefi::bench
 
-int main() { return whitefi::bench::Main(); }
+int main() {
+  whitefi::bench::CheckSiftKernelEnvironment();
+  return whitefi::bench::Main();
+}

@@ -11,6 +11,7 @@
 #include <iostream>
 #include <string>
 
+#include "flags.h"
 #include "phy/signal.h"
 #include "sift/detector.h"
 #include "sift/matcher.h"
@@ -83,4 +84,7 @@ int Main() {
 }  // namespace
 }  // namespace whitefi::bench
 
-int main() { return whitefi::bench::Main(); }
+int main() {
+  whitefi::bench::CheckSiftKernelEnvironment();
+  return whitefi::bench::Main();
+}

@@ -8,6 +8,7 @@
 // airtime books must recover exactly that.
 #include <iostream>
 
+#include "flags.h"
 #include "sift_experiment.h"
 #include "sift/airtime.h"
 #include "sift/detector.h"
@@ -70,4 +71,7 @@ int Main() {
 }  // namespace
 }  // namespace whitefi::bench
 
-int main() { return whitefi::bench::Main(); }
+int main() {
+  whitefi::bench::CheckSiftKernelEnvironment();
+  return whitefi::bench::Main();
+}

@@ -10,6 +10,7 @@
 // signals; the sniffer follows the calibrated capture model.
 #include <iostream>
 
+#include "flags.h"
 #include "phy/attenuation.h"
 #include "sift_experiment.h"
 #include "sift/detector.h"
@@ -64,4 +65,7 @@ int Main() {
 }  // namespace
 }  // namespace whitefi::bench
 
-int main() { return whitefi::bench::Main(); }
+int main() {
+  whitefi::bench::CheckSiftKernelEnvironment();
+  return whitefi::bench::Main();
+}

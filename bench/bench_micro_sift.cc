@@ -4,6 +4,7 @@
 // chirp-codec costs.
 #include <benchmark/benchmark.h>
 
+#include "flags.h"
 #include "phy/signal.h"
 #include "sift/batch.h"
 #include "sift/chirp.h"
@@ -270,6 +271,7 @@ BENCHMARK(BM_ChirpCorrelateDot);
 // items_per_second counters in that report and refuses debug-build
 // baselines via the whitefi_build_type context.
 int main(int argc, char** argv) {
+  whitefi::bench::CheckSiftKernelEnvironment();
   benchmark::AddCustomContext("whitefi_sift_window",
                               std::to_string(whitefi::SiftParams{}.window));
   benchmark::AddCustomContext(

@@ -74,5 +74,6 @@ int Main(int jobs) {
 }  // namespace whitefi::bench
 
 int main(int argc, char** argv) {
+  whitefi::bench::CheckSiftKernelEnvironment();
   return whitefi::bench::Main(whitefi::bench::JobsFromArgs(argc, argv));
 }

@@ -11,6 +11,9 @@
 // thread pool used for its independent trials.  0 means all hardware
 // threads; the default of 1 is the serial reference path, so a driver's
 // default output is byte-identical to the pre-parallel code.
+//
+// A binary that resolves a SIFT kernel also checks WHITEFI_SIFT_KERNEL
+// first (CheckSiftKernelEnvironment), under the same contract.
 #pragma once
 
 #include <algorithm>
@@ -28,6 +31,7 @@
 #include <utility>
 #include <vector>
 
+#include "sift/kernel.h"
 #include "util/number.h"
 #include "util/parallel.h"
 
@@ -164,6 +168,18 @@ inline std::set<std::string_view> ParseFlags(int argc, char** argv,
     FlagError(error.what());
   }
   return given;
+}
+
+/// Refuses a WHITEFI_SIFT_KERNEL this host cannot honour (a misspelled
+/// tier, or a vector tier the CPU lacks) the way a bad flag is refused:
+/// exits 2 with the kernel library's message, which names the variable.
+/// Call it before any output in every binary that resolves a kernel.
+inline void CheckSiftKernelEnvironment() {
+  try {
+    sift_kernel::Resolve(SiftKernelChoice::kAuto);
+  } catch (const std::invalid_argument& error) {
+    FlagError(error.what());
+  }
 }
 
 /// Parses a driver's argv: `--jobs N` (default 1) and, for a driver that

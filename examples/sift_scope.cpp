@@ -11,10 +11,12 @@
 #include <iostream>
 
 #include "core/whitefi.h"
+#include "flags.h"
 
 using namespace whitefi;
 
 int main() {
+  bench::CheckSiftKernelEnvironment();
   std::cout << "SIFT scope\n==========\n\n";
   Rng rng(7);
 

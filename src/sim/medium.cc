@@ -2,11 +2,27 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <sstream>
 
 #include "sim/audit_hooks.h"
 
 namespace whitefi {
+
+namespace {
+
+/// Number of UHF channels spanned by both `a` and `b` (0 when disjoint).
+int SharedChannels(const Channel& a, const Channel& b) {
+  return std::max(0, std::min(a.High(), b.High()) -
+                         std::max(a.Low(), b.Low()) + 1);
+}
+
+/// busy_'s bits for the UHF channels lo..hi.
+std::uint32_t SpanMask(std::size_t lo, std::size_t hi) {
+  return ((std::uint32_t{2} << (hi - lo)) - 1) << lo;
+}
+
+}  // namespace
 
 const char* FrameTypeName(FrameType type) {
   switch (type) {
@@ -48,15 +64,85 @@ std::string Frame::ToString() const {
 }
 
 Medium::Medium(Simulator& sim, const MediumParams& params)
-    : sim_(sim), params_(params), prop_(params.propagation) {}
+    : sim_(sim),
+      params_(params),
+      prop_(params.propagation),
+      min_sinr_(DbToLinear(params.decode_snr_db)) {
+  for (const ChannelWidth w : kAllWidths) {
+    const auto wi = static_cast<std::size_t>(w);
+    noise_mw_[wi] = DbmToMilliwatt(NoiseFloorDbm(WidthMHz(w)));
+    const int span = SpanChannels(w);
+    for (int k = 1; k <= span; ++k) {
+      // InBandPowerFraction's quotient for k shared channels.
+      in_band_db_[wi][static_cast<std::size_t>(k)] = LinearToDb(
+          static_cast<double>(k) / static_cast<double>(span));
+    }
+  }
+}
 
 void Medium::Register(RadioPort* radio) {
+  assert(radio->link_slot_ < 0);  // One medium at a time.
+  int slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<int>(links_.size());
+    for (std::vector<LinkBudget>& row : links_) row.emplace_back();
+    links_.emplace_back(links_.size() + 1);
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  radio->link_slot_ = slot;
   listeners_.push_back(Listener{radio, radio->TunedChannel(), 0});
 }
 
 void Medium::Unregister(RadioPort* radio) {
-  std::erase_if(listeners_,
-                [radio](const Listener& l) { return l.radio == radio; });
+  if (std::erase_if(listeners_, [radio](const Listener& l) {
+        return l.radio == radio;
+      }) == 0) {
+    return;  // Not registered here.
+  }
+  DropLinks(radio->link_slot_);
+  free_slots_.push_back(radio->link_slot_);
+  radio->link_slot_ = -1;
+}
+
+void Medium::Moved(const RadioPort& radio) {
+  if (radio.link_slot_ >= 0) DropLinks(radio.link_slot_);
+}
+
+void Medium::DropLinks(int slot) {
+  const auto s = static_cast<std::size_t>(slot);
+  std::fill(links_[s].begin(), links_[s].end(), LinkBudget{});
+  for (std::vector<LinkBudget>& row : links_) row[s] = LinkBudget{};
+}
+
+Medium::LinkBudget* Medium::Link(const RadioPort& from,
+                                 const RadioPort& to) const {
+  if (from.link_slot_ < 0 || to.link_slot_ < 0) return nullptr;
+  LinkBudget& link = links_[static_cast<std::size_t>(to.link_slot_)]
+                           [static_cast<std::size_t>(from.link_slot_)];
+  if (std::isnan(link.loss_db)) {
+    link.loss_db = prop_.PathLossDb(Distance(from.Location(), to.Location()));
+  }
+  return &link;
+}
+
+Dbm Medium::ReceivedDbm(const ActiveTx& tx, const RadioPort& rx) const {
+  // PropagationModel::ReceivedPower is tx power less PathLossDb.
+  if (const LinkBudget* link = Link(*tx.tx, rx)) {
+    return tx.power - link->loss_db;
+  }
+  return prop_.ReceivedPower(tx.power, tx.tx->Location(), rx.Location());
+}
+
+double Medium::ReceivedMw(const ActiveTx& tx, const RadioPort& rx) const {
+  LinkBudget* link = Link(*tx.tx, rx);
+  if (link == nullptr) return DbmToMilliwatt(ReceivedDbm(tx, rx));
+  if (link->mw_for != tx.power) {
+    link->mw = DbmToMilliwatt(tx.power - link->loss_db);
+    link->mw_for = tx.power;
+  }
+  return link->mw;
 }
 
 void Medium::Retune(const RadioPort* radio, const Channel& channel,
@@ -75,7 +161,9 @@ void Medium::AccrueChannel(std::size_t c) {
   // `ToUs` is an exact int64 -> double conversion and busy is a sum of
   // integer-valued doubles, so accruing per channel in fewer, larger steps
   // is bit-equal to the eager all-channel walk it replaces.
-  if (active_count_[c] > 0) books_[c].busy += ToUs(now - channel_accrued_at_[c]);
+  if ((busy_ >> c & 1) != 0) {
+    books_[c].busy += ToUs(now - channel_accrued_at_[c]);
+  }
   channel_accrued_at_[c] = now;
 }
 
@@ -144,9 +232,9 @@ void Medium::StartTransmission(RadioPort* tx, const Channel& channel,
   std::sort(record.interferers.begin(), record.interferers.end());
   for (std::size_t c = lo; c <= hi; ++c) {
     AccrueChannel(c);
-    ++active_count_[c];
     books_[c].per_node[tx->NodeId()] += ToUs(duration);
     channel_txs_[c].push_back(&record);
+    busy_ |= std::uint32_t{1} << c;
   }
   // Audit seam: the transmission is committed (indexed + booked) from this
   // instant; the auditor sees exactly what the airtime books will accrue.
@@ -168,12 +256,12 @@ void Medium::EndTransmission(std::uint64_t tx_id,
   for (auto c = static_cast<std::size_t>(tx.channel.Low());
        c <= static_cast<std::size_t>(tx.channel.High()); ++c) {
     AccrueChannel(c);
-    --active_count_[c];
     auto& list = channel_txs_[c];
     auto pos = std::find(list.begin(), list.end(), &tx);
     assert(pos != list.end());
     *pos = list.back();
     list.pop_back();
+    if (list.empty()) busy_ &= ~(std::uint32_t{1} << c);
   }
   --on_air_;
   ResolveReceptions(tx);
@@ -244,18 +332,16 @@ const Medium::ActiveTx* Medium::FindTx(std::uint64_t id) const {
 }
 
 double Medium::InterferencePowerMw(const ActiveTx& tx,
-                                   const Position& at) const {
+                                   const RadioPort& rx) const {
   double total_mw = 0.0;
   for (std::uint64_t interferer_id : tx.interferers) {
     const ActiveTx* interferer = FindTx(interferer_id);
     if (interferer == nullptr) continue;
-    const Dbm p =
-        prop_.ReceivedPower(interferer->power, interferer->tx->Location(), at);
     // Only the interferer's in-band power corrupts our symbols.
     const double fraction =
         InBandPowerFraction(interferer->channel, tx.channel);
     if (fraction <= 0.0) continue;
-    total_mw += DbmToMilliwatt(p) * fraction;
+    total_mw += ReceivedMw(*interferer, rx) * fraction;
   }
   return total_mw;
 }
@@ -271,22 +357,22 @@ void Medium::ResolveReceptions(const ActiveTx& tx) {
   // received it.  Any such transmission on the same channel is recorded in
   // the interferer list, so collect those node ids — lazily, on the first
   // radio that is actually tuned to receive this frame, so dense storms
-  // with no matching listener skip the interferer walk entirely.
-  std::vector<int> talked_during;
+  // with no matching listener skip the interferer walk entirely.  The
+  // buffer is the medium's: a delivery never transmits, so this is never
+  // re-entered.
   bool talked_during_built = false;
   const auto BuildTalkedDuring = [&] {
     if (talked_during_built) return;
     talked_during_built = true;
+    talked_during_.clear();
     for (std::uint64_t interferer_id : tx.interferers) {
       if (const ActiveTx* interferer = FindTx(interferer_id)) {
-        talked_during.push_back(interferer->tx->NodeId());
+        talked_during_.push_back(interferer->tx->NodeId());
       }
     }
   };
 
-  const double noise_mw =
-      DbmToMilliwatt(NoiseFloorDbm(WidthMHz(tx.channel.width)));
-  const double min_sinr = DbToLinear(params_.decode_snr_db);
+  const double noise_mw = noise_mw_[static_cast<std::size_t>(tx.channel.width)];
 
   const SimTime now = sim_.Now();
   // By index, reading each entry afresh: a delivery may retune a radio,
@@ -300,17 +386,15 @@ void Medium::ResolveReceptions(const ActiveTx& tx) {
     if (!(listener.tuned == tx.channel)) continue;
     RadioPort* const rx = listener.radio;
     BuildTalkedDuring();
-    if (std::find(talked_during.begin(), talked_during.end(), rx->NodeId()) !=
-        talked_during.end()) {
+    if (std::find(talked_during_.begin(), talked_during_.end(),
+                  rx->NodeId()) != talked_during_.end()) {
       continue;
     }
-    const Position rx_at = rx->Location();
-    const Dbm rx_power =
-        prop_.ReceivedPower(tx.power, tx.tx->Location(), rx_at);
-    const double signal_mw = DbmToMilliwatt(rx_power);
-    const double interference_mw = InterferencePowerMw(tx, rx_at);
+    const Dbm rx_power = ReceivedDbm(tx, *rx);
+    const double signal_mw = ReceivedMw(tx, *rx);
+    const double interference_mw = InterferencePowerMw(tx, *rx);
     const auto type_index = static_cast<std::size_t>(tx.frame.type);
-    if (signal_mw / (noise_mw + interference_mw) < min_sinr) {
+    if (signal_mw / (noise_mw + interference_mw) < min_sinr_) {
       WHITEFI_METRIC_COUNT(drop_counters_[type_index], 1);
       TraceFrame(obs_.trace, sim_.Now(), TraceEventKind::kFrameDrop,
                  rx->NodeId(), tx.frame, [] { return "sinr"; });
@@ -346,10 +430,7 @@ void Medium::NotifyOverlapping(const Channel& channel) {
 }
 
 double InBandPowerFraction(const Channel& tx, const Channel& listener) {
-  const UhfIndex lo = std::max(tx.Low(), listener.Low());
-  const UhfIndex hi = std::min(tx.High(), listener.High());
-  if (hi < lo) return 0.0;
-  return static_cast<double>(hi - lo + 1) /
+  return static_cast<double>(SharedChannels(tx, listener)) /
          static_cast<double>(SpanChannels(tx.width));
 }
 
@@ -359,19 +440,22 @@ bool Medium::CarrierSensed(const RadioPort& radio,
   // each is examined once (at the first spanned channel in range).
   const auto lo = static_cast<std::size_t>(channel.Low());
   const auto hi = static_cast<std::size_t>(channel.High());
+  if ((busy_ & SpanMask(lo, hi)) == 0) return false;  // Nothing on the air.
   for (std::size_t c = lo; c <= hi; ++c) {
     for (const ActiveTx* tx : channel_txs_[c]) {
       if (std::max(static_cast<std::size_t>(tx->channel.Low()), lo) != c) {
         continue;  // Seen at an earlier c.
       }
       if (tx->tx == &radio) continue;
-      const Dbm p =
-          prop_.ReceivedPower(tx->power, tx->tx->Location(), radio.Location());
+      const Dbm p = ReceivedDbm(*tx, radio);
       if (tx->channel == channel) {
         if (p >= params_.same_channel_cs_dbm) return true;
       } else {
+        // LinearToDb(InBandPowerFraction(tx->channel, channel)).
         const Dbm in_band =
-            p + LinearToDb(InBandPowerFraction(tx->channel, channel));
+            p + in_band_db_[static_cast<std::size_t>(tx->channel.width)]
+                           [static_cast<std::size_t>(
+                               SharedChannels(tx->channel, channel))];
         if (in_band >= params_.energy_detect_cs_dbm) return true;
       }
     }

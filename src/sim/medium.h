@@ -26,13 +26,18 @@
 // ids, so a lookup is an index and a transmission allocates no map node.
 // Deliveries and carrier notifications walk one contiguous table of each
 // radio's tuned channel and rx-enable time, so a transmission makes no
-// virtual call on a radio it cannot reach.
+// virtual call on a radio it cannot reach.  Each ordered pair of
+// registered radios has one cached link budget (path loss and received
+// milliwatts, the same doubles the formulas give), dropped when either
+// radio moves (Medium::Moved); carrier sense returns at once when no
+// spanned channel carries a transmission.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -90,6 +95,8 @@ void TraceFrame(EventTrace* trace, SimTime at, TraceEventKind kind, int node,
   trace->Append(FrameEvent(at, kind, node, frame, detail()));
 }
 
+class Medium;
+
 /// Medium-facing view of one radio.  Registered by devices.
 class RadioPort {
  public:
@@ -98,7 +105,9 @@ class RadioPort {
   /// Stable node id.
   virtual int NodeId() const = 0;
 
-  /// Physical location, read when a frame ends (see Device::SetPosition).
+  /// Physical location.  The medium caches the link budgets between
+  /// registered radios, so a registered radio's position changes only
+  /// together with Medium::Moved (see Device::SetPosition).
   virtual Position Location() const = 0;
 
   /// Channel the main radio is tuned to.  The medium keeps its own copy,
@@ -115,6 +124,13 @@ class RadioPort {
   /// Called whenever a transmission starts or ends anywhere on spectrum
   /// overlapping this radio's channel (MACs re-evaluate carrier here).
   virtual void MediumChanged() = 0;
+
+ private:
+  friend class Medium;
+  /// The radio's slot in the medium it is registered with, which indexes
+  /// that medium's link-budget cache; -1 while unregistered.  Written by
+  /// Medium::Register and Unregister only.
+  int link_slot_ = -1;
 };
 
 /// Cumulative airtime books for one UHF channel.
@@ -129,11 +145,18 @@ class Medium {
   Medium(Simulator& sim, const MediumParams& params);
 
   /// Registers a radio, listening on its tuned channel from now on; it
-  /// must outlive the medium or be unregistered.
+  /// must outlive the medium or be unregistered.  A radio is registered
+  /// with one medium at a time, and only that medium is asked about it.
   void Register(RadioPort* radio);
 
   /// Unregisters a radio.
   void Unregister(RadioPort* radio);
+
+  /// Records that `radio` moved: drops its cached link budgets, so the
+  /// next carrier-sense query or reception reads its new position.  The
+  /// position twin of Retune: every position change of a registered radio
+  /// must be reported here.  A retune changes no link budget.
+  void Moved(const RadioPort& radio);
 
   /// Records that `radio` is now tuned to `channel` and deaf until
   /// `rx_enabled_at` (the PLL retune).  Carrier notifications and
@@ -255,16 +278,17 @@ class Medium {
   /// Medium-side stand-in for a transmitter that lives in another shard,
   /// one per ghost record, at the position the ghost was emitted from: it
   /// radiates (ghost transmissions reference it for position/id) but
-  /// never receives, so it has no Listener.
+  /// never receives, so it has no Listener, no link slot and no channel
+  /// of its own (ghost rings hold thousands, so it stays 40 bytes).
   struct ForeignSource final : RadioPort {
+    static constexpr Channel kNoChannel{0, ChannelWidth::kW5};
     int id = 0;
     bool ap = false;
     Position pos;
-    Channel tuned{0, ChannelWidth::kW5};
 
     int NodeId() const override { return id; }
     Position Location() const override { return pos; }
-    const Channel& TunedChannel() const override { return tuned; }
+    const Channel& TunedChannel() const override { return kNoChannel; }
     bool IsAp() const override { return ap; }
     void DeliverFrame(const Frame&, Dbm) override {}
     void MediumChanged() override {}
@@ -277,6 +301,19 @@ class Medium {
     SimTime rx_enabled_at;  ///< Deaf before this time (PLL retune).
   };
 
+  /// The link budget of one ordered pair of registered radios, filled
+  /// lazily with PropagationModel's own expressions, so every double is
+  /// the one the formulas give.  NaN marks what is not filled yet.
+  struct LinkBudget {
+    static constexpr double kUnfilled =
+        std::numeric_limits<double>::quiet_NaN();
+    /// PathLossDb over the distance from transmitter to receiver.
+    double loss_db = kUnfilled;
+    /// DbmToMilliwatt of the received power at tx power `mw_for`.
+    double mw = 0.0;
+    Dbm mw_for = kUnfilled;
+  };
+
   void StartTransmission(RadioPort* tx, const Channel& channel,
                          const Frame& frame, Dbm tx_power, SimTime duration,
                          bool foreign, std::function<void()> on_end);
@@ -287,17 +324,42 @@ class Medium {
   void NotifyOverlapping(const Channel& channel);
   /// Brings one UHF channel's busy book current (lazy accrual).
   void AccrueChannel(std::size_t c);
-  /// In-band power (mW) of `tx`'s interferers at a receiver located at
-  /// `at` and tuned to `tx.channel`.
-  double InterferencePowerMw(const ActiveTx& tx, const Position& at) const;
+  /// In-band power (mW) of `tx`'s interferers at `rx`, which is tuned
+  /// to `tx.channel`.
+  double InterferencePowerMw(const ActiveTx& tx, const RadioPort& rx) const;
   const ActiveTx* FindTx(std::uint64_t id) const;
+
+  /// Clears every cached link to and from `slot`.
+  void DropLinks(int slot);
+  /// The cached link from `from` to `to` with its path loss filled; null
+  /// when either has no slot (a ghost's stand-in never has one).
+  LinkBudget* Link(const RadioPort& from, const RadioPort& to) const;
+  /// `tx`'s received power at `rx`, in dBm and in milliwatts.
+  Dbm ReceivedDbm(const ActiveTx& tx, const RadioPort& rx) const;
+  double ReceivedMw(const ActiveTx& tx, const RadioPort& rx) const;
 
   Simulator& sim_;
   MediumParams params_;
   PropagationModel prop_;
+  /// Per-medium constants: the decode threshold as a linear SINR, the
+  /// noise floor in mW by width, and the in-band share in dB of a
+  /// transmission of width w that shares k UHF channels with a listener,
+  /// at [w][k].
+  double min_sinr_;
+  std::array<double, kNumWidths> noise_mw_{};
+  std::array<std::array<Dbm, SpanChannels(ChannelWidth::kW20) + 1>,
+             kNumWidths>
+      in_band_db_{};
   /// Registered radios in registration order, the order in which
   /// deliveries and carrier notifications go out.
   std::vector<Listener> listeners_;
+  /// The link-budget cache: links_[to][from] is the link from the radio
+  /// in slot `from` to the one in slot `to`.  A new slot adds a row and a
+  /// column; a freed slot is reused, its links already dropped.
+  mutable std::vector<std::vector<LinkBudget>> links_;
+  std::vector<int> free_slots_;
+  /// The half-duplex set of the reception being resolved, reused.
+  std::vector<int> talked_during_;
   /// Ids of the foreign APs heard so far, ascending.
   std::vector<int> foreign_aps_;
   std::vector<FrameTap> taps_;
@@ -323,9 +385,12 @@ class Medium {
   std::array<std::vector<ActiveTx*>, static_cast<std::size_t>(kNumUhfChannels)>
       channel_txs_;
 
+  /// Bit c is set while channel_txs_[c] is non-empty.
+  std::uint32_t busy_ = 0;
+  static_assert(kNumUhfChannels <= 32);
+
   // Airtime accounting, one ChannelBooks per UHF channel.
   std::array<ChannelBooks, static_cast<std::size_t>(kNumUhfChannels)> books_;
-  std::array<int, static_cast<std::size_t>(kNumUhfChannels)> active_count_{};
   /// Per-channel lazy-accrual timestamp: books_[c].busy is current up to
   /// channel_accrued_at_[c].
   std::array<SimTime, static_cast<std::size_t>(kNumUhfChannels)>

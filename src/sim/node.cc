@@ -47,6 +47,11 @@ void Device::MacSendComplete(const Frame& frame, bool success) {
   for (const auto& hook : send_hooks_) hook(frame, success);
 }
 
+void Device::SetPosition(const Position& position) {
+  config_.position = position;
+  world_.medium().Moved(*this);
+}
+
 void Device::SwitchChannel(const Channel& channel) {
   if (channel == channel_ && RxEnabled()) return;
   MetricsRegistry::Count(world_.metrics(), "whitefi.node.channel_switches");

@@ -81,13 +81,16 @@ class Device : public RadioPort, public MacCallbacks {
   /// session, whose respected map rides the tv_map slot).
   void SetTvMap(const SpectrumMap& map) { config_.tv_map = map; }
 
-  /// Moves the device (mobility models).  The medium reads positions when
-  /// it needs them: carrier sense at each query, reception and
-  /// interference when a frame ends (ResolveReceptions,
-  /// InterferencePowerMw).  So a frame already in flight, sent or being
-  /// received, takes the geometry of the new position.  Ghost energy is
-  /// the exception: a ghost keeps the position its node had at emission.
-  void SetPosition(const Position& position) { config_.position = position; }
+  /// Moves the device (mobility models) and tells the medium
+  /// (Medium::Moved), which drops the device's cached link budgets: a
+  /// registered radio's position changes only together with that call.
+  /// The medium uses positions when it needs them: carrier sense at each
+  /// query, reception and interference when a frame ends
+  /// (ResolveReceptions, InterferencePowerMw).  So a frame already in
+  /// flight, sent or being received, takes the geometry of the new
+  /// position.  Ghost energy is the exception: a ghost keeps the position
+  /// its node had at emission.
+  void SetPosition(const Position& position);
 
   Mac& mac() { return mac_; }
   const Mac& mac() const { return mac_; }

@@ -5,18 +5,23 @@
 #   1  runtime failure, or an output file that could not be written
 #   2  configuration error: an unknown flag, a missing value, trailing
 #      garbage, a value below its bound, a flag the mode cannot honour,
-#      or a city description the driver cannot run (a key it does not
-#      read, a value a key cannot take, an invalid city); refused before
-#      any trial runs
-# No command line may abort the driver.
+#      a city description the driver cannot run (a key it does not
+#      read, a value a key cannot take, an invalid city), or a
+#      WHITEFI_SIFT_KERNEL that names no kernel; refused before any
+#      trial runs
+# No command line or environment may abort the driver.
 #
 # Usage: bench_driver_exit_codes.sh <bench_fuzz_soak> <bench_chaos_recovery>
 #                                   <bench_city_scale>
+#                                   <bench_table1_sift_detection>
+#                                   <bench_fig7_attenuation>
 set -u
 
 SOAK="$1"
 CHAOS="$2"
 CITY="$3"
+TABLE1="$4"
+FIG7="$5"
 TMP="${TMPDIR:-/tmp}/bench_driver_exit_codes.$$"
 mkdir -p "$TMP"
 trap 'rm -rf "$TMP"' EXIT
@@ -85,6 +90,12 @@ expect_refused "--shards: expected an integer >= 1, got '0'" \
 expect_refused "unknown argument '--aps'" "$CITY" --aps 4
 expect_refused "typo.conf line 2: unknown key 'city.apz'" \
   "$CITY" --config "$(city typo 'city.aps = 4\ncity.apz = 4\n')"
+# A misspelled SIFT kernel tier is refused like a bad flag, by every
+# binary that resolves a kernel, never diffed as if it were auto.
+expect_refused "error: WHITEFI_SIFT_KERNEL='scaler' names no SIFT kernel" \
+  env WHITEFI_SIFT_KERNEL=scaler "$TABLE1"
+expect_refused "error: WHITEFI_SIFT_KERNEL='' names no SIFT kernel" \
+  env WHITEFI_SIFT_KERNEL= "$FIG7"
 
 # An output that cannot be written exits 1 and is not announced.
 MISSING="$TMP/missing/dir"

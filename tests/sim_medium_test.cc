@@ -1,10 +1,11 @@
 // Tests for the radio medium: exact-channel delivery, width dropping,
 // retuning, cross-width carrier sense, SINR collisions, airtime books,
-// frame taps, half-duplex behavior, ghost interference and record
-// collection.
+// frame taps, half-duplex behavior, ghost interference, record
+// collection and the link-budget cache under moving radios.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <random>
 #include <utility>
@@ -12,6 +13,7 @@
 
 #include "obs/metrics.h"
 #include "sim/medium.h"
+#include "sim/world.h"
 #include "util/units.h"
 
 namespace whitefi {
@@ -30,6 +32,7 @@ class FakeRadio : public RadioPort {
   void DeliverFrame(const Frame& frame, Dbm power) override {
     delivered.push_back(frame);
     powers.push_back(power);
+    if (on_deliver) on_deliver(frame, power);
   }
   void MediumChanged() override { ++medium_changes; }
 
@@ -40,9 +43,17 @@ class FakeRadio : public RadioPort {
     medium.Retune(this, c, rx_enabled_at);
   }
 
+  /// Moves as a Device does: the medium drops its cached link budgets.
+  void Move(Medium& medium, const Position& pos) {
+    pos_ = pos;
+    medium.Moved(*this);
+  }
+
   std::vector<Frame> delivered;
   std::vector<Dbm> powers;
   int medium_changes = 0;
+  /// Called on every delivery, after it is recorded (may be empty).
+  std::function<void(const Frame&, Dbm)> on_deliver;
 
  private:
   int id_;
@@ -580,6 +591,182 @@ TEST_F(MediumTest, RandomStormBooksMatchIntervalUnion) {
     }
     EXPECT_EQ(node_sum, per_node_total);
   }
+}
+
+// ------------------------------------------------------ link-budget cache ---
+
+TEST_F(MediumTest, MovingStormMatchesDirectFormulasBitForBit) {
+  // Radios move between frames and mid-frame while transmissions at
+  // several powers come and go on overlapping channels of every width.
+  // Every carrier-sense probe must match the exhaustive reference at the
+  // radios' current positions, and every power handed to DeliverFrame
+  // must be, bit for bit, ReceivedPower from the transmitter's current
+  // position to the receiver's: the cached links are dropped by Moved.
+  constexpr int kRadios = 12;
+  const std::array<Channel, 4> channels = {
+      Channel{10, ChannelWidth::kW5}, Channel{11, ChannelWidth::kW5},
+      Channel{10, ChannelWidth::kW10}, Channel{11, ChannelWidth::kW20}};
+  const std::array<Dbm, 3> powers = {16.0, 10.0, 20.0};
+  constexpr SimTime kSpan = 400000;
+  std::mt19937 rng(61);
+  const auto Spot = [&rng] {
+    return Position{static_cast<double>(rng() % 2000),
+                    static_cast<double>(rng() % 2000)};
+  };
+  std::vector<FakeRadio> radios;
+  radios.reserve(kRadios);
+  for (int i = 0; i < kRadios; ++i) {
+    radios.emplace_back(i, Spot(), channels[rng() % channels.size()]);
+  }
+  for (FakeRadio& r : radios) medium_.Register(&r);
+
+  // Transmissions at even times; record k's frame carries k in `bytes`.
+  std::vector<StormRecord> records;
+  for (int k = 0; k < 400; ++k) {
+    StormRecord rec;
+    rec.start = static_cast<SimTime>(rng() % (kSpan / 2)) * 2;
+    rec.end = rec.start + 2 * (50 + static_cast<SimTime>(rng() % 500));
+    rec.node = static_cast<int>(rng() % kRadios);
+    rec.channel = radios[static_cast<std::size_t>(rec.node)].TunedChannel();
+    rec.power = powers[rng() % powers.size()];
+    records.push_back(rec);
+  }
+  for (std::size_t k = 0; k < records.size(); ++k) {
+    const StormRecord rec = records[k];
+    sim_.Schedule(rec.start, [this, &radios, rec, k] {
+      Frame frame = DataFrame(rec.node, -1, static_cast<int>(k));
+      medium_.Transmit(&radios[static_cast<std::size_t>(rec.node)],
+                       rec.channel, frame, rec.power, rec.end - rec.start,
+                       nullptr);
+    });
+  }
+  // Moves at any time: between frames, and mid-frame for sender and
+  // receiver alike.
+  std::vector<SimTime> moved_at(kRadios, -1);
+  for (int m = 0; m < 300; ++m) {
+    const auto at = static_cast<SimTime>(rng() % kSpan);
+    const std::size_t who = rng() % kRadios;
+    const Position to = Spot();
+    sim_.Schedule(at, [this, &radios, &moved_at, who, to, at] {
+      radios[who].Move(medium_, to);
+      moved_at[who] = at;
+    });
+  }
+
+  int deliveries = 0;
+  int moved_mid_frame = 0;
+  for (FakeRadio& rx : radios) {
+    rx.on_deliver = [this, &radios, &records, &moved_at, &rx, &deliveries,
+                     &moved_mid_frame](const Frame& frame, Dbm power) {
+      const StormRecord& rec = records[static_cast<std::size_t>(frame.bytes)];
+      const auto tx = static_cast<std::size_t>(rec.node);
+      EXPECT_EQ(power,
+                medium_.propagation().ReceivedPower(
+                    rec.power, radios[tx].Location(), rx.Location()))
+          << "frame " << frame.bytes << " at radio " << rx.NodeId();
+      ++deliveries;
+      const auto rx_index = static_cast<std::size_t>(rx.NodeId());
+      if (moved_at[tx] > rec.start || moved_at[rx_index] > rec.start) {
+        ++moved_mid_frame;
+      }
+    };
+  }
+
+  int sensed = 0;
+  int clear = 0;
+  // Odd probe times fall strictly between transmission starts and ends.
+  for (SimTime t = 1; t < kSpan; t += 210) {
+    sim_.Schedule(t, [this, &radios, &records, t, &sensed, &clear] {
+      for (const FakeRadio& listener : radios) {
+        for (const Channel probe :
+             {listener.TunedChannel(), Channel{12, ChannelWidth::kW5},
+              Channel{9, ChannelWidth::kW20}}) {
+          const bool got = medium_.CarrierSensed(listener, probe);
+          EXPECT_EQ(got, ReferenceCarrierSense(records, radios, t, listener,
+                                               probe, medium_.params(),
+                                               medium_.propagation()))
+              << "t=" << t << " listener=" << listener.NodeId();
+          (got ? sensed : clear) += 1;
+        }
+      }
+    });
+  }
+  sim_.RunUntilIdle();
+  // The storm is neither silent nor saturated, and frames get through.
+  EXPECT_GT(sensed, 1000);
+  EXPECT_GT(clear, 1000);
+  EXPECT_GT(deliveries, 200);
+  EXPECT_GT(moved_mid_frame, 0);
+}
+
+TEST_F(MediumTest, ReusedSlotStartsWithNoCachedLinks) {
+  // An unregistered radio's slot goes to the next radio registered; the
+  // link cached for the old one must not leak into the new one.
+  const Channel ch{10, ChannelWidth::kW5};
+  FakeRadio tx(1, {0, 0}, ch), gone(2, {100, 0}, ch), fresh(3, {900, 0}, ch);
+  medium_.Register(&tx);
+  medium_.Register(&gone);
+  medium_.Transmit(&tx, ch, DataFrame(1, 2), 16.0, 200, nullptr);
+  sim_.Run(1000);
+  medium_.Unregister(&gone);
+  medium_.Register(&fresh);
+  sim_.Schedule(2000, [&] {
+    medium_.Transmit(&tx, ch, DataFrame(1, 3), 16.0, 200, nullptr);
+  });
+  sim_.Run(3000);
+  const PropagationModel& prop = medium_.propagation();
+  EXPECT_EQ(gone.powers,
+            std::vector<Dbm>{prop.ReceivedPower(16.0, {0, 0}, {100, 0})});
+  EXPECT_EQ(fresh.powers,
+            std::vector<Dbm>{prop.ReceivedPower(16.0, {0, 0}, {900, 0})});
+}
+
+/// A device that logs the power of every beacon it receives.
+class BeaconLog : public Device {
+ public:
+  using Device::Device;
+  std::vector<Dbm> powers;
+
+ protected:
+  void OnFrameReceived(const Frame& frame, Dbm rx_power) override {
+    if (frame.type == FrameType::kBeacon) powers.push_back(rx_power);
+  }
+};
+
+TEST(LinkCache, SetPositionBetweenFramesDeliversAtTheNewGeometry) {
+  World world;
+  const Channel ch{10, ChannelWidth::kW10};
+  DeviceConfig config;
+  config.initial_channel = ch;
+  Device& ap = world.Create<Device>(config);
+  config.position = {50.0, 0.0};
+  BeaconLog& rx = world.Create<BeaconLog>(config);
+  const auto SendBeacon = [&] {
+    Frame beacon;
+    beacon.type = FrameType::kBeacon;
+    beacon.src = ap.NodeId();
+    beacon.dst = kBroadcastId;
+    beacon.bytes = kBeaconBytes;
+    ap.mac().Enqueue(beacon);
+    world.RunFor(0.1);
+  };
+  const auto Expected = [&] {
+    return world.medium().propagation().ReceivedPower(
+        ap.tx_power(), ap.Location(), rx.Location());
+  };
+  std::vector<Dbm> expected;
+  SendBeacon();
+  expected.push_back(Expected());
+  rx.SetPosition({700.0, 300.0});  // The receiver moves...
+  SendBeacon();
+  expected.push_back(Expected());
+  ap.SetPosition({-900.0, 40.0});  // ...then the transmitter.
+  SendBeacon();
+  expected.push_back(Expected());
+  EXPECT_EQ(rx.powers, expected);
+  ASSERT_EQ(expected.size(), 3u);
+  EXPECT_NE(expected[0], expected[1]);
+  EXPECT_NE(expected[1], expected[2]);
 }
 
 }  // namespace
